@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/types.hpp"
-#include "sim/engine_kind.hpp"
 #include "sim/time.hpp"
 
 namespace gemsd {
@@ -131,15 +130,6 @@ struct SystemConfig {
   /// Restart back-off after a deadlock abort.
   sim::SimTime restart_delay = sim::msec(10);
 
-  /// Event-kernel execution backend (sim/engine.hpp). Pure execution
-  /// policy: results are identical for every kind and worker count, so —
-  /// like ObsConfig — none of these fields enter config_json, config_hash,
-  /// or exported specs.
-  struct EngineConfig {
-    sim::EngineKind kind = sim::EngineKind::Sequential;
-    int workers = 0;  ///< parallel worker threads (0 = hardware_concurrency)
-  } engine;
-
   /// Observability (src/obs): pure observation — none of these settings
   /// change simulation results, only what gets recorded about them.
   struct ObsConfig {
@@ -161,27 +151,20 @@ struct SystemConfig {
     /// Online invariant auditors in the TM/lock/buffer hot paths (fail fast
     /// with a trace cursor on the first violated invariant).
     bool audit = false;
-    /// Engine parallelism profiler (obs/engprof.hpp): wall-clock per-window
-    /// accounting of the safe-window engine. Pure observation — results are
-    /// bit-identical on/off at any worker count.
-    bool engine_profile = false;
-    /// Timeline ring capacity in windows (aggregates always cover the run).
-    std::size_t engprof_windows = std::size_t{1} << 14;
     /// Heartbeat period in wall seconds (0 = off): one stderr JSONL line
-    /// with sim-time, commits, events/s and window count, plus rates over
-    /// the last heartbeat interval.
+    /// with sim-time, commits and events/s, plus rates over the last
+    /// heartbeat interval.
     double progress_every_s = 0.0;
     /// Streaming per-window time series (obs/timeseries.hpp). Pure
     /// observation: no scheduler events are inserted, so metrics are
-    /// byte-identical on/off and the export is bit-identical across engine
-    /// kinds and worker counts.
+    /// byte-identical on/off.
     bool timeseries = false;
     double timeseries_window = 0.5;   ///< window width in simulated seconds
     std::size_t timeseries_cap = 512; ///< max windows before coarsening
     /// Per-resource queueing snapshot (obs/resources.hpp): exports the
     /// gemsd.resources.v1 document and records per-station wait sketches.
     /// Pure observation — no scheduler events, metrics byte-identical
-    /// on/off at any engine kind and worker count.
+    /// on/off.
     bool resources = false;
   } obs;
 

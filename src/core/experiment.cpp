@@ -7,7 +7,6 @@
 #include <fstream>
 #include <regex>
 
-#include "obs/engprof.hpp"
 #include "obs/fingerprint.hpp"
 #include "obs/json.hpp"
 #include "obs/memory.hpp"
@@ -160,14 +159,6 @@ std::string try_parse_bench_args(const std::vector<std::string>& args,
       o.trace_filter = v;
     } else if (a == "--audit") {
       o.audit = true;
-    } else if (a == "--engine-profile") {
-      o.engine_profile = true;
-    } else if (value_of(a, "--engine-profile", v)) {
-      o.engine_profile = true;
-      o.engine_profile_file = v;
-    } else if (value_of(a, "--engine-profile-trace", v)) {
-      o.engine_profile = true;
-      o.engine_profile_trace = v;
     } else if (a == "--progress") {
       o.progress_every_s = 10.0;
     } else if (value_of(a, "--progress", v)) {
@@ -185,17 +176,6 @@ std::string try_parse_bench_args(const std::vector<std::string>& args,
     } else if (value_of(a, "--resources", v)) {
       o.resources = true;
       o.resources_file = v;
-    } else if (value_of(a, "--engine", v)) {
-      if (v == "sequential") {
-        o.engine = sim::EngineKind::Sequential;
-      } else if (v == "parallel") {
-        o.engine = sim::EngineKind::Parallel;
-      } else {
-        return "malformed value in '" + a +
-               "' (expected sequential or parallel)";
-      }
-    } else if (value_of(a, "--engine-workers", v)) {
-      num_ok = to_int(v, o.engine_workers);
     } else {
       // Catches typos ("--job=4"), unknown flags, and the space form
       // ("--warmup 5", which arrives as a bare "--warmup" plus a stray
@@ -231,14 +211,6 @@ std::string bench_usage() {
       "  --trace-capacity=N trace ring-buffer capacity [events]\n"
       "  --trace-filter=RE  record only events whose name matches the regex\n"
       "  --audit            online invariant auditors (fail fast)\n"
-      "  --engine=K         event kernel: sequential (default) or parallel;\n"
-      "                     results are identical either way\n"
-      "  --engine-workers=N parallel-engine threads per run (0 = hw conc.)\n"
-      "  --engine-profile[=F]      wall-clock engine parallelism profile of\n"
-      "                     the --trace-run point (gemsd.engprof.v1 JSON;\n"
-      "                     default results/ENGPROF_<bench>.json)\n"
-      "  --engine-profile-trace=F  Perfetto wall-clock timeline of the\n"
-      "                     profiled windows\n"
       "  --progress[=SECS]  stderr JSONL heartbeat (default 10s period)\n"
       "  --timeseries[=F]   per-window time series of the --trace-run point\n"
       "                     (gemsd.timeseries.v1 JSON; default\n"
@@ -270,8 +242,6 @@ std::vector<std::string> debit_credit_partition_names() {
 void apply_obs_options(std::vector<SystemConfig>& cfgs,
                        const BenchOptions& opt) {
   for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    cfgs[i].engine.kind = opt.engine;
-    cfgs[i].engine.workers = opt.engine_workers;
     auto& obs = cfgs[i].obs;
     obs.sample_every = opt.sample_every;
     obs.slow_k = opt.slow_k;
@@ -285,12 +255,7 @@ void apply_obs_options(std::vector<SystemConfig>& cfgs,
       obs.trace_capacity = opt.trace_capacity;
       obs.trace_filter = opt.trace_filter;
     }
-    // The profiler follows the same point selection as --trace so one
-    // invocation can line the simulated trace up with the wall timeline.
-    if (opt.engine_profile && i == picked) {
-      obs.engine_profile = true;
-    }
-    // The time series records the same point too.
+    // The time series records the same point as --trace.
     if (opt.timeseries && i == picked) {
       obs.timeseries = true;
       obs.timeseries_window = opt.timeseries_window;
@@ -513,10 +478,6 @@ std::string write_bench_json(const std::string& bench,
   w.kv("slow_k", static_cast<std::int64_t>(opt.slow_k));
   w.kv("audit", opt.audit);
   w.kv("trace_filter", opt.trace_filter);
-  w.kv("engine", opt.engine == sim::EngineKind::Parallel
-                     ? "parallel"
-                     : "sequential");
-  w.kv("engine_workers", static_cast<std::int64_t>(opt.engine_workers));
   w.end_object();
   w.key("partitions");
   w.begin_array();
@@ -572,46 +533,6 @@ std::string write_trace_file(const BenchOptions& opt,
   };
   const std::string json = obs::chrome_trace_json(*tel, metadata);
   return write_text_file(opt.trace_file, json) ? opt.trace_file : "";
-}
-
-std::pair<std::string, std::string> write_engprof_files(
-    const std::string& bench, const BenchOptions& opt,
-    const std::vector<BenchRun>& runs) {
-  if (!opt.engine_profile || runs.empty()) return {"", ""};
-  const std::size_t idx =
-      static_cast<std::size_t>(opt.trace_run < 0 ? 0 : opt.trace_run) %
-      runs.size();
-  const BenchRun& run = runs[idx];
-  const auto* tel = run.result.telemetry.get();
-  if (!tel || !tel->engprof) {
-    std::fprintf(stderr,
-                 "warning: --engine-profile given but run %zu has no "
-                 "engine profile\n",
-                 idx);
-    return {"", ""};
-  }
-  obs::JsonWriter git, seed, hash;
-  git.value(obs::build_git_describe());
-  seed.value(static_cast<std::uint64_t>(run.config.seed));
-  hash.value(obs::config_hash_hex(run.config));
-  const std::vector<std::pair<std::string, std::string>> metadata = {
-      {"git", git.take()},
-      {"seed", seed.take()},
-      {"config_hash", hash.take()},
-  };
-  const std::string path = opt.engine_profile_file.empty()
-                               ? "results/ENGPROF_" + bench + ".json"
-                               : opt.engine_profile_file;
-  std::pair<std::string, std::string> out;
-  if (write_text_file(path, obs::engprof_json(*tel->engprof, metadata))) {
-    out.first = path;
-  }
-  if (!opt.engine_profile_trace.empty() &&
-      write_text_file(opt.engine_profile_trace,
-                      obs::engprof_chrome_json(*tel->engprof, metadata))) {
-    out.second = opt.engine_profile_trace;
-  }
-  return out;
 }
 
 std::string write_timeseries_file(const std::string& bench,
@@ -701,7 +622,6 @@ void finish_bench(const std::string& bench, const std::string& caption,
   const std::string json_path =
       write_bench_json(bench, caption, opt, bruns, partition_names);
   const std::string trace_path = write_trace_file(opt, bruns);
-  const auto engprof_paths = write_engprof_files(bench, opt, bruns);
   const std::string ts_path = write_timeseries_file(bench, opt, bruns);
   const std::string res_path = write_resources_file(bench, opt, bruns);
   const SystemConfig stamp_cfg = cfgs.empty() ? SystemConfig{} : cfgs.front();
@@ -713,12 +633,6 @@ void finish_bench(const std::string& bench, const std::string& caption,
     std::printf("%s\n", fingerprint_line(bench, stamp_cfg).c_str());
     if (!json_path.empty()) std::printf("results: %s\n", json_path.c_str());
     if (!trace_path.empty()) std::printf("trace: %s\n", trace_path.c_str());
-    if (!engprof_paths.first.empty()) {
-      std::printf("engine profile: %s\n", engprof_paths.first.c_str());
-    }
-    if (!engprof_paths.second.empty()) {
-      std::printf("engine timeline: %s\n", engprof_paths.second.c_str());
-    }
     if (!ts_path.empty()) {
       std::printf("timeseries: %s\n", ts_path.c_str());
     }

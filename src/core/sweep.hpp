@@ -14,12 +14,11 @@ struct Trace;
 }
 
 /// Executes a sweep of independent, deterministic simulations on a
-/// fixed-size thread pool. Each run owns its own Engine/System/Rng (every
-/// Scheduler stays strictly single-threaded — within a run, parallelism
-/// exists only across logical processes under the safe-window engine,
-/// sim/engine.hpp), so a sweep of N configurations produces bit-identical
-/// results at any job count, and results always come back in submission
-/// order: tables and CSV output are byte-identical to the serial path.
+/// fixed-size thread pool. Each run owns its own System, Scheduler and Rng
+/// and runs on exactly one thread (a run is never split across threads), so
+/// a sweep of N configurations produces bit-identical results at any job
+/// count, and results always come back in submission order: tables and CSV
+/// output are byte-identical to the serial path.
 ///
 /// jobs == 1 runs every task inline on the calling thread (no pool, exactly
 /// today's serial behavior); jobs == 0 resolves to hardware_concurrency.

@@ -8,7 +8,6 @@
 #include "cc/gem_lock_protocol.hpp"
 #include "cc/lock_engine_protocol.hpp"
 #include "cc/primary_copy_protocol.hpp"
-#include "obs/engprof.hpp"
 #include "obs/memory.hpp"
 #include "obs/resources.hpp"
 #include "obs/timeseries.hpp"
@@ -18,8 +17,6 @@ namespace gemsd {
 
 System::System(const SystemConfig& cfg, Workload wl)
     : cfg_(cfg),
-      engine_(cfg.engine.kind, cfg.engine.workers),
-      sched_(engine_.add_lp("system").sched()),
       rng_(cfg.seed),
       metrics_(cfg.partitions.size(),
                static_cast<std::size_t>(wl.gen ? wl.gen->num_types() : 1)),
@@ -59,10 +56,6 @@ System::System(const SystemConfig& cfg, Workload wl)
   if (cfg_.obs.audit) {
     audit_ = std::make_unique<obs::Auditor>(trace_.get());
     metrics_.audit = audit_.get();
-  }
-  if (cfg_.obs.engine_profile) {
-    engprof_ = std::make_unique<obs::EngProfiler>(cfg_.obs.engprof_windows);
-    engine_.set_profiler(engprof_.get());
   }
   if (cfg_.obs.timeseries) {
     ts_ = std::make_unique<obs::TimeSeriesRecorder>(
@@ -444,11 +437,10 @@ void System::progress_tick() {
                "{\"progress\":{\"sim_s\":%.3f,\"commits\":%" PRIu64
                ",\"events\":%" PRIu64 ",\"events_per_s\":%.0f"
                ",\"interval_commits\":%" PRIu64 ",\"commits_per_s\":%.1f"
-               ",\"sim_per_s\":%.3f,\"windows\":%" PRIu64
+               ",\"sim_per_s\":%.3f"
                ",\"nodes\":%d,\"rss_bytes\":%" PRIu64 "}}\n",
                sim_now, commits, events, eps, int_commits, cps, sim_per_s,
-               engine_.windows_executed(), cfg_.nodes,
-               obs::current_rss_bytes());
+               cfg_.nodes, obs::current_rss_bytes());
   progress_last_s_ = now_s;
   progress_prev_events_ = events;
   progress_prev_commits_ = commits;
@@ -492,7 +484,7 @@ void System::reset_stats() {
 
 void System::run_until(sim::SimTime t) {
   const auto t0 = std::chrono::steady_clock::now();
-  run_events_ += engine_.run_until(t);
+  run_events_ += sched_.run_until(t);
   run_wall_s_ +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -755,29 +747,15 @@ RunResult System::collect() const {
       add(pre + ".writes", 0.0);
     }
   }
+  // Scheduler self-metrics. Everything except wall_events_per_s is a
+  // property of the schedule. Additive only — `gemsd_analyze --compare`
+  // ignores detail keys.
   add("sched.queued_events", static_cast<double>(sched_.queued_events()));
-
-  // Engine self-metrics (sim/engine.hpp). Everything except wall_events_per_s
-  // is a property of the schedule: identical for every engine kind and worker
-  // count. Additive only — `gemsd_analyze --compare` ignores detail keys.
-  {
-    const sim::EngineStats es = engine_.stats();
-    add("engine.lps", static_cast<double>(es.lp_events.size()));
-    add("engine.workers", static_cast<double>(engine_.workers()));
-    add("engine.windows", static_cast<double>(es.windows));
-    add("engine.degenerate_windows",
-        static_cast<double>(es.degenerate_windows));
-    add("engine.messages", static_cast<double>(es.messages));
-    add("engine.events", static_cast<double>(es.events));
-    add("engine.max_queue_depth", static_cast<double>(es.max_queue_depth));
-    for (std::size_t i = 0; i < es.lp_events.size(); ++i) {
-      add("engine.lp" + std::to_string(i) + ".events",
-          static_cast<double>(es.lp_events[i]));
-    }
-    if (run_wall_s_ > 0) {
-      add("engine.wall_events_per_s",
-          static_cast<double>(run_events_) / run_wall_s_);
-    }
+  add("sched.events", static_cast<double>(sched_.events_processed()));
+  add("sched.max_queue_depth", static_cast<double>(sched_.max_queued()));
+  if (run_wall_s_ > 0) {
+    add("sched.wall_events_per_s",
+        static_cast<double>(run_events_) / run_wall_s_);
   }
 
   tel->samples = samples_;
@@ -786,10 +764,6 @@ RunResult System::collect() const {
     tel->trace_enabled = true;
     tel->events = trace_->snapshot();
     tel->events_dropped = trace_->dropped();
-  }
-  if (engprof_) {
-    tel->engprof =
-        std::make_shared<const obs::EngProfile>(engprof_->snapshot());
   }
   if (ts_) {
     ts_->fold(sched_.now());  // close the tail segment at the horizon

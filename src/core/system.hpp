@@ -18,7 +18,6 @@
 #include "node/cpu.hpp"
 #include "node/log_manager.hpp"
 #include "node/transaction_manager.hpp"
-#include "sim/engine.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 #include "storage/gem_device.hpp"
@@ -26,7 +25,6 @@
 #include "workload/workload.hpp"
 
 namespace gemsd::obs {
-class EngProfiler;
 class TimeSeriesRecorder;
 class ResourceRecorder;
 struct ResourceSet;
@@ -64,7 +62,6 @@ class System {
   RunResult collect() const;
 
   // component access (tests, examples)
-  sim::Engine& engine() { return engine_; }
   sim::Scheduler& scheduler() { return sched_; }
   sim::Rng& rng() { return rng_; }
   Metrics& metrics() { return metrics_; }
@@ -84,7 +81,6 @@ class System {
   const std::vector<obs::Sample>& samples() const { return samples_; }
   const obs::SlowTxnLog& slow_log() const { return slow_log_; }
   obs::Auditor* auditor() { return audit_.get(); }
-  obs::EngProfiler* engine_profiler() { return engprof_.get(); }
   obs::TimeSeriesRecorder* timeseries() { return ts_.get(); }
   obs::ResourceRecorder* resource_recorder() { return resrec_.get(); }
 
@@ -122,15 +118,13 @@ class System {
   void progress_tick();
 
   SystemConfig cfg_;
-  /// The event kernel. The whole cluster model shares one sim::Rng consumed
-  /// in global event order, and its GEM/CPU interactions are synchronous
-  /// (zero lookahead — the defining property of close coupling), so the
-  /// model is a single logical process: sched_ aliases that LP's scheduler
-  /// and the engine degenerates to one inclusive window per run_until. The
-  /// engine still owns execution so the backend (and its self-metrics) is
-  /// uniform across single- and multi-LP models; see DESIGN.md.
-  sim::Engine engine_;
-  sim::Scheduler& sched_;
+  /// The event kernel, driven directly by run_until. One scheduler runs the
+  /// whole cluster: the model shares one sim::Rng consumed in global event
+  /// order, and its GEM/CPU interactions are synchronous (zero lookahead —
+  /// the defining property of close coupling), so there is nothing to run
+  /// in parallel within a run (DESIGN.md §5c). Declared before every
+  /// component so it outlives all of them: each holds a reference to it.
+  sim::Scheduler sched_;
   sim::Rng rng_;
   Metrics metrics_;
   std::unique_ptr<storage::StorageManager> storage_;
@@ -145,7 +139,6 @@ class System {
   std::vector<bool> node_up_;
   std::unique_ptr<obs::TraceRecorder> trace_;
   std::unique_ptr<obs::Auditor> audit_;
-  std::unique_ptr<obs::EngProfiler> engprof_;
   std::unique_ptr<obs::TimeSeriesRecorder> ts_;
   std::unique_ptr<obs::ResourceRecorder> resrec_;
   obs::SlowTxnLog slow_log_;

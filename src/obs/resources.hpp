@@ -28,7 +28,7 @@ struct JsonValue;
 /// demand D_i = busy_i/commits). Everything is read from counters and
 /// time-integrals sim::Resource already maintains: the recorder owns NO
 /// scheduler events, so the metrics JSON is byte-identical with the layer on
-/// or off at any engine kind and worker count (ctest- and CI-gated).
+/// or off (ctest- and CI-gated).
 ///
 /// The same rows feed the operational-law auditors (--audit) and the
 /// capacity analyzer (gemsd_analyze --bottleneck): because sim::Resource

@@ -29,10 +29,9 @@ struct JsonValue;
 ///     is distributed pro-rata over the windows the poll interval spans
 ///     (deterministic; at steady state one poll per window).
 ///
-/// Because System is a single LP and all inputs are simulation-deterministic,
-/// the exported document is bit-identical across engine kinds and worker
-/// counts (ctest-gated), and because nothing perturbs the schedule, the
-/// metrics JSON is byte-identical with the recorder on or off. Window count
+/// All inputs are simulation-deterministic, so the exported document is
+/// bit-identical at any --jobs count, and because nothing perturbs the
+/// schedule, the metrics JSON is byte-identical with the recorder on or off. Window count
 /// is bounded like the trace ring: when `cap` windows exist, the window
 /// width doubles and adjacent windows pairwise-merge (sketches merge by
 /// bucket addition, so coarsening loses resolution, never data). Recording
@@ -213,7 +212,7 @@ class TimeSeriesRecorder {
 /// "gemsd.timeseries.v1" document (schemas/timeseries.schema.json).
 /// `metadata` entries are {key, pre-serialized JSON value} pairs merged after
 /// the schema key (git describe, seed, config hash). Deterministic bytes:
-/// same simulation -> same document at any engine kind or worker count.
+/// same simulation -> same document at any --jobs count.
 std::string timeseries_json(
     const TsSeries& s,
     const std::vector<std::pair<std::string, std::string>>& metadata);

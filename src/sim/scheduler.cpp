@@ -1,7 +1,6 @@
 #include "sim/scheduler.hpp"
 
 #include <cassert>
-#include <limits>
 #include <utility>
 
 namespace gemsd::sim {
@@ -59,11 +58,6 @@ Scheduler::Ev Scheduler::pop_top() {
   }
   heap_[i] = last;
   return top;
-}
-
-SimTime Scheduler::next_time() const {
-  return heap_.empty() ? std::numeric_limits<SimTime>::infinity()
-                       : heap_.front().t;
 }
 
 void Scheduler::schedule_call(SimTime t, std::function<void()> fn) {
@@ -128,25 +122,6 @@ std::uint64_t Scheduler::run_until(SimTime end) {
     }
   }
   now_ = end;
-  return n;
-}
-
-std::uint64_t Scheduler::run_before(SimTime end) {
-  std::uint64_t n = 0;
-  while (!heap_.empty() && heap_.front().t < end) {
-    const Ev ev = pop_top();
-    now_ = ev.t;
-    dispatch(ev);
-    drain_dead();
-    ++n;
-    // Kept live per event (not folded in at loop exit) so the progress
-    // heartbeat sees a moving count mid-segment.
-    ++processed_;
-    if (progress_every_ != 0 && --progress_left_ == 0) {
-      progress_left_ = progress_every_;
-      progress_cb_();
-    }
-  }
   return n;
 }
 

@@ -27,7 +27,7 @@ namespace gemsd::workload {
 /// Both effects are deterministic: the drift is keyed on the generator's own
 /// transaction counter (the SOURCE draws in global event order), and the
 /// diurnal factor is a pure function of simulated time — results stay
-/// bit-identical across engine kinds and worker counts.
+/// bit-identical at any --jobs count.
 struct ScaleOutSpec {
   std::int64_t keys_per_node = 100;  ///< affinity-key blocks per node
   std::int64_t pages_per_key = 10;   ///< DATA pages owned by one key

@@ -303,6 +303,47 @@ TEST(Observation, DoesNotPerturbTheSimulation) {
   EXPECT_FALSE(b.telemetry->slowest.empty());
 }
 
+// The heartbeat never perturbs results: a period that can't elapse still
+// installs the hook on the hot path, and every metric stays identical.
+TEST(Observation, ProgressHeartbeatDoesNotPerturbMetrics) {
+  SystemConfig cfg = make_debit_credit_config();
+  cfg.nodes = 2;
+  cfg.warmup = 0.1;
+  cfg.measure = 0.4;
+  const RunResult off = run_debit_credit(cfg);
+  cfg.obs.progress_every_s = 3600.0;
+  const RunResult on = run_debit_credit(cfg);
+  EXPECT_EQ(on.commits, off.commits);
+  EXPECT_DOUBLE_EQ(on.throughput, off.throughput);
+  EXPECT_DOUBLE_EQ(on.resp_ms, off.resp_ms);
+  EXPECT_DOUBLE_EQ(on.cpu_util, off.cpu_util);
+}
+
+// The scheduler self-metrics in the detail block read the one Scheduler
+// that drives the run, under the `sched.` prefix; no key starts with
+// `engine`.
+TEST(Observation, DetailCarriesSchedulerCounters) {
+  SystemConfig cfg = make_debit_credit_config();
+  cfg.nodes = 2;
+  cfg.warmup = 0.1;
+  cfg.measure = 0.2;
+  System sys(cfg, make_debit_credit_workload(cfg));
+  const RunResult r = sys.run();
+  ASSERT_TRUE(r.telemetry);
+  double events = -1, maxq = -1, wall = -1;
+  for (const auto& kv : r.telemetry->detail) {
+    EXPECT_NE(kv.first.rfind("engine", 0), 0u) << kv.first;
+    if (kv.first == "sched.events") events = kv.second;
+    if (kv.first == "sched.max_queue_depth") maxq = kv.second;
+    if (kv.first == "sched.wall_events_per_s") wall = kv.second;
+  }
+  EXPECT_GT(events, 0);
+  EXPECT_EQ(events,
+            static_cast<double>(sys.scheduler().events_processed()));
+  EXPECT_EQ(maxq, static_cast<double>(sys.scheduler().max_queued()));
+  EXPECT_GT(wall, 0);
+}
+
 TEST(Observation, SamplerCoversWarmupAndMeasurement) {
   SystemConfig cfg = quick_config();
   cfg.obs.sample_every = 0.5;

@@ -74,6 +74,19 @@ Task<void> parent(Scheduler& s, int* out) {
   *out = y;
 }
 
+// The --progress heartbeat's plumbing: the hook fires between events, once
+// per `every` processed events.
+TEST(Scheduler, ProgressHookFiresEveryNEvents) {
+  Scheduler s;
+  int fired = 0;
+  s.set_progress_hook([&] { ++fired; }, 10);
+  for (int i = 0; i < 25; ++i) {
+    s.schedule_call(0.001 * (i + 1), [] {});
+  }
+  s.run_until(1.0);
+  EXPECT_EQ(fired, 2);  // after events 10 and 20
+}
+
 TEST(Task, NestedAwaitPropagatesValuesAndTime) {
   Scheduler s;
   int out = 0;

@@ -4,8 +4,6 @@
 //   ./gemsd_run spec.ini [more-specs.ini ...] [--csv] [--full] [--jobs=N]
 //              [--metrics-json=FILE] [--trace=FILE] [--trace-run=I]
 //              [--trace-filter=RE] [--sample=S] [--slow-k=K] [--audit]
-//              [--engine=sequential|parallel] [--engine-workers=N]
-//              [--engine-profile[=FILE]] [--engine-profile-trace=FILE]
 //              [--progress[=SECS]] [--timeseries[=FILE]]
 //              [--timeseries-window=S] [--resources[=FILE]]
 //
@@ -16,124 +14,72 @@
 // order. --metrics-json writes the structured results report (all metrics,
 // telemetry samples, slowest transactions); --trace writes a Chrome
 // trace-event file for one of the runs (pick with --trace-run).
+//
+// Flags go through the same strict parser as gemsd_bench: an unknown flag or
+// a malformed value exits 2 with the usage text. The spec owns the horizon,
+// node count and seed, so --quick, --measure, --warmup, --max-nodes and
+// --seed are rejected rather than silently ignored.
 // See src/core/config_file.hpp for the spec format.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
-#include <regex>
 #include <string>
 #include <vector>
 
 #include "core/config_file.hpp"
 #include "core/experiment.hpp"
 #include "core/sweep.hpp"
-#include "obs/trace.hpp"
 #include "workload/trace_generator.hpp"
+
+namespace {
+
+void usage() {
+  std::fprintf(stderr,
+               "usage: gemsd_run <spec.ini> [more-specs.ini ...] [flags]\n"
+               "\n"
+               "The spec sets warm-up, measurement, nodes and seed, so\n"
+               "--quick, --measure, --warmup, --max-nodes and --seed are\n"
+               "rejected. Flags (run defaults: --sample=0 --slow-k=0, JSON\n"
+               "only with --metrics-json):\n%s",
+               gemsd::bench_usage().c_str());
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace gemsd;
-  bool csv = false, full = false;
-  int jobs = 0;
-  BenchOptions obs_opt;  // carries the telemetry/export flags
-  obs_opt.sample_every = 0.0;
-  obs_opt.slow_k = 0;
-  obs_opt.no_json = true;  // only write JSON when --metrics-json is given
-  std::vector<std::string> spec_files;
+  BenchOptions opt;
+  opt.sample_every = 0.0;
+  opt.slow_k = 0;
+  std::vector<std::string> spec_files, flags;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0) {
-      csv = true;
-    } else if (std::strcmp(argv[i], "--full") == 0) {
-      full = true;
-    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      jobs = std::atoi(argv[i] + 7);
-    } else if (std::strncmp(argv[i], "--metrics-json=", 15) == 0) {
-      obs_opt.metrics_json = argv[i] + 15;
-      obs_opt.no_json = false;
-    } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      obs_opt.trace_file = argv[i] + 8;
-    } else if (std::strncmp(argv[i], "--trace-run=", 12) == 0) {
-      obs_opt.trace_run = std::atoi(argv[i] + 12);
-    } else if (std::strncmp(argv[i], "--trace-capacity=", 17) == 0) {
-      obs_opt.trace_capacity =
-          static_cast<std::size_t>(std::atoll(argv[i] + 17));
-    } else if (std::strncmp(argv[i], "--trace-filter=", 15) == 0) {
-      obs_opt.trace_filter = argv[i] + 15;
-      try {
-        (void)obs::trace_name_filter(obs_opt.trace_filter);
-      } catch (const std::regex_error&) {
-        std::fprintf(stderr, "error: --trace-filter is not a valid regex\n");
-        return 1;
-      }
-    } else if (std::strncmp(argv[i], "--sample=", 9) == 0) {
-      obs_opt.sample_every = std::atof(argv[i] + 9);
-    } else if (std::strncmp(argv[i], "--slow-k=", 9) == 0) {
-      obs_opt.slow_k = std::atoi(argv[i] + 9);
-    } else if (std::strcmp(argv[i], "--audit") == 0) {
-      obs_opt.audit = true;
-    } else if (std::strcmp(argv[i], "--engine-profile") == 0) {
-      obs_opt.engine_profile = true;
-    } else if (std::strncmp(argv[i], "--engine-profile=", 17) == 0) {
-      obs_opt.engine_profile = true;
-      obs_opt.engine_profile_file = argv[i] + 17;
-    } else if (std::strncmp(argv[i], "--engine-profile-trace=", 23) == 0) {
-      obs_opt.engine_profile = true;
-      obs_opt.engine_profile_trace = argv[i] + 23;
-    } else if (std::strcmp(argv[i], "--timeseries") == 0) {
-      obs_opt.timeseries = true;
-    } else if (std::strncmp(argv[i], "--timeseries=", 13) == 0) {
-      obs_opt.timeseries = true;
-      obs_opt.timeseries_file = argv[i] + 13;
-    } else if (std::strncmp(argv[i], "--timeseries-window=", 20) == 0) {
-      obs_opt.timeseries = true;
-      obs_opt.timeseries_window = std::atof(argv[i] + 20);
-      if (obs_opt.timeseries_window <= 0) {
-        std::fprintf(stderr, "error: --timeseries-window must be > 0\n");
-        return 1;
-      }
-    } else if (std::strcmp(argv[i], "--resources") == 0) {
-      obs_opt.resources = true;
-    } else if (std::strncmp(argv[i], "--resources=", 12) == 0) {
-      obs_opt.resources = true;
-      obs_opt.resources_file = argv[i] + 12;
-    } else if (std::strcmp(argv[i], "--progress") == 0) {
-      obs_opt.progress_every_s = 10.0;
-    } else if (std::strncmp(argv[i], "--progress=", 11) == 0) {
-      obs_opt.progress_every_s = std::atof(argv[i] + 11);
-      if (obs_opt.progress_every_s <= 0) {
-        std::fprintf(stderr, "error: --progress period must be > 0\n");
-        return 1;
-      }
-    } else if (std::strncmp(argv[i], "--engine=", 9) == 0) {
-      const char* v = argv[i] + 9;
-      if (std::strcmp(v, "sequential") == 0) {
-        obs_opt.engine = sim::EngineKind::Sequential;
-      } else if (std::strcmp(v, "parallel") == 0) {
-        obs_opt.engine = sim::EngineKind::Parallel;
-      } else {
-        std::fprintf(stderr,
-                     "error: --engine must be sequential or parallel\n");
-        return 1;
-      }
-    } else if (std::strncmp(argv[i], "--engine-workers=", 17) == 0) {
-      obs_opt.engine_workers = std::atoi(argv[i] + 17);
-    } else {
-      spec_files.push_back(argv[i]);
+    const std::string a = argv[i];
+    if (a.rfind("--", 0) != 0) {
+      spec_files.push_back(a);
+      continue;
     }
+    const std::string name = a.substr(0, a.find('='));
+    for (const char* owned :
+         {"--quick", "--measure", "--warmup", "--max-nodes", "--seed"}) {
+      if (name == owned) {
+        std::fprintf(stderr, "error: '%s' is set by the spec file\n\n",
+                     a.c_str());
+        usage();
+        return 2;
+      }
+    }
+    flags.push_back(a);
   }
+  if (const std::string err = try_parse_bench_args(flags, opt); !err.empty()) {
+    std::fprintf(stderr, "error: %s\n\n", err.c_str());
+    usage();
+    return 2;
+  }
+  if (opt.metrics_json.empty()) opt.no_json = true;
   if (spec_files.empty()) {
-    std::fprintf(stderr,
-                 "usage: gemsd_run <spec.ini> [more-specs.ini ...] "
-                 "[--csv] [--full] [--jobs=N] [--metrics-json=FILE] "
-                 "[--trace=FILE] [--trace-run=I] [--trace-filter=RE] "
-                 "[--sample=S] [--slow-k=K] [--audit] "
-                 "[--engine=sequential|parallel] [--engine-workers=N] "
-                 "[--engine-profile[=FILE]] [--engine-profile-trace=FILE] "
-                 "[--progress[=SECS]] [--timeseries[=FILE]] "
-                 "[--timeseries-window=S] [--resources[=FILE]]\n");
-    return 1;
+    usage();
+    return 2;
   }
 
   // Flatten all spec files into one run list, remembering where each run
@@ -187,64 +133,39 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Resolve every run's config up front, then stamp the observability
+  // options the same way gemsd_bench does.
+  std::vector<SystemConfig> cfgs;
+  std::vector<std::shared_ptr<const workload::Trace>> run_traces;
+  for (const Job& j : jobs_list) {
+    SystemConfig cfg = j.spec.cfg;
+    std::shared_ptr<const workload::Trace> trace;
+    if (j.spec.kind == RunSpec::Kind::Trace) {
+      // Trace runs take their partition layout from the trace; the spec's
+      // system keys are re-applied on top of the trace defaults, exactly
+      // how gemsd_bench builds the in-registry config.
+      trace = traces.at(std::make_pair(j.spec.trace_file, j.spec.trace_txns));
+      cfg = make_trace_config(*trace);
+      apply_spec_keys(cfg, j.spec.keys);
+    }
+    cfgs.push_back(std::move(cfg));
+    run_traces.push_back(std::move(trace));
+  }
+  apply_obs_options(cfgs, opt);
+
   struct SpecResult {
     RunResult r;
-    SystemConfig cfg;
     std::vector<std::string> names;
   };
   std::vector<std::function<SpecResult()>> tasks;
-  for (std::size_t si = 0; si < jobs_list.size(); ++si) {
-    const RunSpec& spec = jobs_list[si].spec;
-    SystemConfig::ObsConfig obs;
-    obs.sample_every = obs_opt.sample_every;
-    obs.slow_k = obs_opt.slow_k;
-    obs.audit = obs_opt.audit;
-    obs.progress_every_s = obs_opt.progress_every_s;
-    const std::size_t picked =
-        static_cast<std::size_t>(
-            obs_opt.trace_run < 0 ? 0 : obs_opt.trace_run) %
-        jobs_list.size();
-    if (!obs_opt.trace_file.empty() && si == picked) {
-      obs.trace = true;
-      obs.trace_capacity = obs_opt.trace_capacity;
-      obs.trace_filter = obs_opt.trace_filter;
-    }
-    if (obs_opt.engine_profile && si == picked) {
-      obs.engine_profile = true;
-    }
-    if (obs_opt.timeseries && si == picked) {
-      obs.timeseries = true;
-      obs.timeseries_window = obs_opt.timeseries_window;
-    }
-    if (obs_opt.resources && si == picked) {
-      obs.resources = true;
-    }
-    SystemConfig::EngineConfig eng;
-    eng.kind = obs_opt.engine;
-    eng.workers = obs_opt.engine_workers;
-    std::shared_ptr<const workload::Trace> trace;
-    if (spec.kind == RunSpec::Kind::Trace) {
-      trace = traces.at(std::make_pair(spec.trace_file, spec.trace_txns));
-    }
-    tasks.push_back([&spec, obs, eng, trace] {
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    tasks.push_back([&cfg = cfgs[i], trace = run_traces[i]] {
       SpecResult out;
-      if (spec.kind == RunSpec::Kind::DebitCredit) {
-        SystemConfig cfg = spec.cfg;
-        cfg.obs = obs;
-        cfg.engine = eng;
+      if (!trace) {
         out.r = run_debit_credit(cfg);
-        out.cfg = cfg;
         out.names = debit_credit_partition_names();
       } else {
-        // Trace runs take their partition layout from the trace; the spec's
-        // system keys are re-applied on top of the trace defaults, exactly
-        // how gemsd_bench builds the in-registry config.
-        SystemConfig cfg = make_trace_config(*trace);
-        apply_spec_keys(cfg, spec.keys);
-        cfg.obs = obs;
-        cfg.engine = eng;
         out.r = run_trace(cfg, *trace);
-        out.cfg = cfg;
         for (int f = 0; f < trace->num_files; ++f) {
           out.names.push_back("F" + std::to_string(f));
         }
@@ -255,40 +176,38 @@ int main(int argc, char** argv) {
 
   std::vector<SpecResult> results;
   try {
-    results = SweepRunner(jobs).map(std::move(tasks));
+    results = SweepRunner(opt.jobs).map(std::move(tasks));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
 
-  if (!obs_opt.no_json || !obs_opt.trace_file.empty() ||
-      obs_opt.engine_profile || obs_opt.timeseries || obs_opt.resources) {
+  if (!opt.no_json || !opt.trace_file.empty() || opt.timeseries ||
+      opt.resources) {
     std::vector<BenchRun> bruns(results.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
-      bruns[i].config = results[i].cfg;
+      bruns[i].config = cfgs[i];
       bruns[i].result = results[i].r;
     }
     std::string caption = "gemsd_run:";
     for (const std::string& f : spec_files) caption += " " + f;
-    if (!obs_opt.no_json) {
-      write_bench_json("run", caption, obs_opt, bruns,
+    if (!opt.no_json) {
+      write_bench_json("run", caption, opt, bruns,
                        results.empty() ? std::vector<std::string>{}
                                        : results.front().names);
     }
-    write_trace_file(obs_opt, bruns);
-    write_engprof_files("run", obs_opt, bruns);
-    write_timeseries_file("run", obs_opt, bruns);
-    write_resources_file("run", obs_opt, bruns);
+    write_trace_file(opt, bruns);
+    write_timeseries_file("run", opt, bruns);
+    write_resources_file("run", opt, bruns);
   }
 
   for (std::size_t i = 0; i < results.size(); ++i) {
-    if (csv) {
+    if (opt.csv) {
       print_csv({results[i].r}, results[i].names);
     } else {
       print_table("gemsd_run: " + jobs_list[i].title, {results[i].r},
-                  results[i].names, full);
-      std::printf("%s\n",
-                  fingerprint_line("run", results[i].cfg).c_str());
+                  results[i].names, opt.full);
+      std::printf("%s\n", fingerprint_line("run", cfgs[i]).c_str());
     }
   }
   return 0;
