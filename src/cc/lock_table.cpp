@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_set>
 
 namespace gemsd::cc {
 
 namespace {
+
+/// Largest request-queue capacity a recycled page slot keeps.
+constexpr std::size_t kKeptQueueCapacity = 2;
 
 bool compatible_with_granted(const std::vector<LockTable::Request>& q,
                              TxnId txn, LockMode mode) {
@@ -29,9 +31,20 @@ bool any_waiter_ahead(const std::vector<LockTable::Request>& q, TxnId txn) {
 }  // namespace
 
 LockTable::Outcome LockTable::acquire(PageId page, TxnId txn, NodeId node,
-                                      LockMode mode, GrantFn on_grant) {
+                                      LockMode mode, GrantFn on_grant,
+                                      bool* upgrade) {
   requests_.inc();
-  auto& st = pages_[page];
+  const auto [slot, fresh] = pages_.try_emplace(page);
+  if (fresh) {
+    if (free_states_.empty()) {
+      *slot = static_cast<std::uint32_t>(states_.size());
+      states_.emplace_back();
+    } else {
+      *slot = free_states_.back();
+      free_states_.pop_back();
+    }
+  }
+  PageState& st = states_[*slot];
 
   // Upgrade detection: the txn already holds a weaker lock on the page
   // (Read -> Update, Read -> Write, or Update -> Write).
@@ -44,6 +57,7 @@ LockTable::Outcome LockTable::acquire(PageId page, TxnId txn, NodeId node,
       break;
     }
   }
+  if (upgrade != nullptr) *upgrade = is_upgrade;
 
   if (is_upgrade) {
     // Grant in place iff the target mode is compatible with every OTHER
@@ -129,27 +143,38 @@ void LockTable::promote(PageId page, PageState& st) {
   }
 }
 
+void LockTable::settle(PageId page, std::uint32_t s, TxnId txn) {
+  auto& q = states_[s].q;
+  if (q.empty()) {
+    // Recycled with its buffer, unless a hot page grew it: passed on from
+    // slot to slot, long queues' capacity would end up in every slot.
+    if (q.capacity() > kKeptQueueCapacity) q = std::vector<Request>();
+    pages_.erase(page);
+    free_states_.push_back(s);
+  } else if (hooks_.queue_changed) {
+    hooks_.queue_changed(page, txn);
+  }
+}
+
 void LockTable::release(PageId page, TxnId txn) {
-  auto pit = pages_.find(page);
-  if (pit == pages_.end()) return;
-  auto& st = pit->second;
+  const std::uint32_t* slot = pages_.find(page);
+  if (slot == nullptr) return;
+  const std::uint32_t s = *slot;
+  auto& st = states_[s];
   st.q.erase(std::remove_if(st.q.begin(), st.q.end(),
                             [&](const Request& r) {
                               return r.txn == txn && r.granted;
                             }),
              st.q.end());
   promote(page, st);
-  if (st.q.empty()) {
-    pages_.erase(pit);
-  } else if (hooks_.queue_changed) {
-    hooks_.queue_changed(page, txn);
-  }
+  settle(page, s, txn);
 }
 
 bool LockTable::cancel_wait(PageId page, TxnId txn) {
-  auto pit = pages_.find(page);
-  if (pit == pages_.end()) return false;
-  auto& st = pit->second;
+  const std::uint32_t* slot = pages_.find(page);
+  if (slot == nullptr) return false;
+  const std::uint32_t s = *slot;
+  auto& st = states_[s];
   const auto before = st.q.size();
   st.q.erase(std::remove_if(st.q.begin(), st.q.end(),
                             [&](const Request& r) {
@@ -159,77 +184,60 @@ bool LockTable::cancel_wait(PageId page, TxnId txn) {
   const bool removed = st.q.size() != before;
   if (removed) waiting_.erase(txn);
   promote(page, st);
-  if (st.q.empty()) {
-    pages_.erase(pit);
-  } else if (hooks_.queue_changed) {
-    hooks_.queue_changed(page, txn);
-  }
+  settle(page, s, txn);
   return removed;
 }
 
 bool LockTable::holds(PageId page, TxnId txn, LockMode at_least) const {
-  auto pit = pages_.find(page);
-  if (pit == pages_.end()) return false;
-  for (const auto& r : pit->second.q) {
+  const std::uint32_t* slot = pages_.find(page);
+  if (slot == nullptr) return false;
+  for (const auto& r : states_[*slot].q) {
     if (r.txn == txn && r.granted) return lock_covers(r.mode, at_least);
   }
   return false;
 }
 
 std::optional<PageId> LockTable::waiting_on(TxnId txn) const {
-  auto it = waiting_.find(txn);
-  if (it == waiting_.end()) return std::nullopt;
-  return it->second;
+  const PageId* p = waiting_.find(txn);
+  if (p == nullptr) return std::nullopt;
+  return *p;
 }
 
 std::vector<TxnId> LockTable::blockers(PageId page, TxnId txn) const {
   std::vector<TxnId> out;
-  auto pit = pages_.find(page);
-  if (pit == pages_.end()) return out;
-  const auto& q = pit->second.q;
-  // Find our waiting request, collecting everything ahead that blocks it.
-  auto self = std::find_if(q.begin(), q.end(), [&](const Request& r) {
-    return r.txn == txn && !r.granted;
-  });
-  if (self == q.end()) return out;
-  for (auto it = q.begin(); it != self; ++it) {
-    if (it->txn == txn) continue;
-    if (it->granted) {
-      if (!lock_compatible(it->mode, self->mode)) out.push_back(it->txn);
-    } else {
-      // Earlier waiter: conservatively assumed to be ahead of us.
-      out.push_back(it->txn);
-    }
-  }
+  for_each_blocker(page, txn, [&](TxnId b) { out.push_back(b); });
   return out;
 }
 
 std::vector<std::pair<TxnId, NodeId>> LockTable::waiters(PageId page) const {
   std::vector<std::pair<TxnId, NodeId>> out;
-  auto pit = pages_.find(page);
-  if (pit == pages_.end()) return out;
-  for (const auto& r : pit->second.q) {
+  const std::uint32_t* slot = pages_.find(page);
+  if (slot == nullptr) return out;
+  for (const auto& r : states_[*slot].q) {
     if (!r.granted) out.emplace_back(r.txn, r.node);
   }
   return out;
 }
 
 bool creates_deadlock(const LockTable& lt, TxnId start) {
-  // DFS through the wait-for relation starting from `start`.
-  std::unordered_set<TxnId> visited;
-  std::vector<TxnId> stack{start};
+  // DFS through the wait-for relation starting from `start`. The scratch is
+  // reused across checks and, like the table, confined to the run's thread.
+  thread_local std::vector<TxnId> stack;
+  thread_local sim::FlatSet<TxnId> visited;
+  stack.assign(1, start);
+  visited.clear();
   bool first = true;
   while (!stack.empty()) {
     const TxnId t = stack.back();
     stack.pop_back();
     if (!first) {
       if (t == start) return true;
-      if (!visited.insert(t).second) continue;
+      if (!visited.try_emplace(t).second) continue;
     }
     first = false;
     const auto page = lt.waiting_on(t);
     if (!page) continue;
-    for (TxnId b : lt.blockers(*page, t)) stack.push_back(b);
+    lt.for_each_blocker(*page, t, [](TxnId b) { stack.push_back(b); });
   }
   return false;
 }

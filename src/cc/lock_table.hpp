@@ -1,12 +1,13 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/types.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/stats.hpp"
 
 namespace gemsd::cc {
@@ -19,7 +20,14 @@ namespace gemsd::cc {
 ///
 /// Waiting requests carry an on_grant callback, invoked (synchronously,
 /// during the releasing operation) when the request becomes granted; the
-/// callback must hand control back through the event queue.
+/// callback must hand control back through the event queue, and it must not
+/// call back into the table (neither may the trace hooks): the table's
+/// storage is flat, so a nested mutation would move the queue being worked
+/// on.
+///
+/// At steady state the table allocates nothing: pages and waiters live in
+/// flat open-addressing maps, and a page's request queue is recycled, with
+/// a buffer of up to two requests, when the page's last lock goes.
 class LockTable {
  public:
   enum class Outcome { Granted, Waiting };
@@ -50,9 +58,11 @@ class LockTable {
 
   /// Request a lock. Must not be called when the transaction already holds a
   /// lock of `mode` or stronger on the page (callers track held locks).
-  /// Holding Read and requesting Write is an upgrade.
+  /// Holding Read and requesting Write is an upgrade; `upgrade`, when given,
+  /// is set to whether this request is one (the transaction already holds
+  /// the page, so its held list has it).
   Outcome acquire(PageId page, TxnId txn, NodeId node, LockMode mode,
-                  GrantFn on_grant);
+                  GrantFn on_grant, bool* upgrade = nullptr);
 
   /// Release this transaction's lock on `page`; grants newly compatible
   /// waiters (firing their callbacks).
@@ -70,6 +80,10 @@ class LockTable {
   /// Transactions that block a waiting request of `txn` on `page`:
   /// incompatible granted holders plus incompatible earlier waiters.
   std::vector<TxnId> blockers(PageId page, TxnId txn) const;
+  /// fn(blocker) for each of blockers(page, txn), in the same order,
+  /// without building the vector.
+  template <typename Fn>
+  void for_each_blocker(PageId page, TxnId txn, Fn&& fn) const;
 
   /// All waiting (non-granted) requests on `page`, in queue order, as
   /// (txn, node) pairs.
@@ -90,12 +104,34 @@ class LockTable {
 
   /// Grant whatever is now grantable at the head of the wait queue.
   void promote(PageId page, PageState& st);
+  /// After a removal from page's queue (slot `s`): recycle an emptied queue,
+  /// else report the mutation to the trace hook.
+  void settle(PageId page, std::uint32_t s, TxnId txn);
 
-  std::unordered_map<PageId, PageState> pages_;
-  std::unordered_map<TxnId, PageId> waiting_;
+  sim::FlatMap<PageId, std::uint32_t> pages_;  ///< page -> slot in states_
+  std::vector<PageState> states_;  ///< queues; emptied ones keep capacity
+  std::vector<std::uint32_t> free_states_;  ///< recycled slots of states_
+  sim::FlatMap<TxnId, PageId> waiting_;
   sim::Counter requests_, conflicts_;
   TraceHooks hooks_;
 };
+
+template <typename Fn>
+void LockTable::for_each_blocker(PageId page, TxnId txn, Fn&& fn) const {
+  const std::uint32_t* slot = pages_.find(page);
+  if (slot == nullptr) return;
+  const auto& q = states_[*slot].q;
+  // Find our waiting request; everything ahead of it that blocks it counts.
+  std::size_t self = 0;
+  while (self < q.size() && (q[self].txn != txn || q[self].granted)) ++self;
+  if (self == q.size()) return;
+  for (std::size_t i = 0; i < self; ++i) {
+    const Request& r = q[i];
+    if (r.txn == txn) continue;
+    // An earlier waiter is conservatively assumed to be ahead of us.
+    if (!r.granted || !lock_compatible(r.mode, q[self].mode)) fn(r.txn);
+  }
+}
 
 /// Deadlock detection over the logical lock table: does txn (which just
 /// started waiting) close a cycle in the wait-for graph? Conservative FIFO

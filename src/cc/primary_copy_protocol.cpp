@@ -1,6 +1,7 @@
 #include "cc/primary_copy_protocol.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 namespace gemsd::cc {
 
@@ -105,7 +106,7 @@ sim::Task<LockOutcome> PrimaryCopyProtocol::acquire_remote(node::Txn& txn,
 
   const GrantMsg m = co_await resp.wait();
   if (m.aborted) co_return LockOutcome{.aborted = true};
-  if (!txn.holds_page(p)) txn.held.push_back(p);
+  if (!m.upgrade) txn.held.push_back(p);
   LockOutcome out;
   out.source = m.source;
   out.seqno = m.seqno;
@@ -144,20 +145,18 @@ sim::Task<void> PrimaryCopyProtocol::gla_lock_request(
   // wait-for replay needs every waiting path to emit its edges, the deadlock
   // verdict, and a lock.wait span at grant time (which retires the edges).
   const sim::SimTime t0 = sched().now();
-  const auto res = table_.acquire(
-      p, txn, n, mode, [this, p, t0, mode, cached, g, n, txn, resp] {
-        // Granted later, during a release processed at the GLA.
-        if (metrics().trace) {
-          metrics().trace->span(obs::TraceName::kLockWait,
-                                static_cast<std::int16_t>(n), txn, t0,
-                                sched().now(), static_cast<double>(p.page),
-                                static_cast<std::int32_t>(p.partition));
-        }
-        sched().spawn(
-            send_grant(g, n, make_grant(p, n, cached, mode, g), resp));
-      });
+  RemoteWaiter w{txn, p, mode, cached, g, n, t0,
+                 sim::OneShot<GrantMsg>(sched())};
+  // Two pointers: inline in std::function, so the request allocates nothing.
+  auto on_grant = [this, wp = &w] { remote_granted(*wp); };
+  static_assert(sizeof(on_grant) <= 2 * sizeof(void*) &&
+                std::is_trivially_copyable_v<decltype(on_grant)>);
+  bool upgrade = false;
+  const auto res = table_.acquire(p, txn, n, mode, on_grant, &upgrade);
   if (res == LockTable::Outcome::Granted) {
-    co_await send_grant(g, n, make_grant(p, n, cached, mode, g), resp);
+    GrantMsg m = make_grant(p, n, cached, mode, g);
+    m.upgrade = upgrade;
+    co_await send_grant(g, n, m, resp);
     co_return;
   }
   if (metrics().trace) {
@@ -177,9 +176,25 @@ sim::Task<void> PrimaryCopyProtocol::gla_lock_request(
                                static_cast<std::int32_t>(p.partition));
     }
     co_await send_grant(g, n, GrantMsg{.aborted = true}, resp);
-  } else {
-    metrics().lock_waits.inc();
+    co_return;
   }
+  metrics().lock_waits.inc();
+  // remote_granted() decides the grant at the releasing instant (the
+  // directory state it reads may change before this frame resumes) and
+  // schedules this frame to send it.
+  GrantMsg m = co_await w.grant.wait();
+  m.upgrade = upgrade;
+  co_await send_grant(g, n, m, resp);
+}
+
+void PrimaryCopyProtocol::remote_granted(RemoteWaiter& w) {
+  if (metrics().trace) {
+    metrics().trace->span(obs::TraceName::kLockWait,
+                          static_cast<std::int16_t>(w.n), w.txn, w.t0,
+                          sched().now(), static_cast<double>(w.p.page),
+                          static_cast<std::int32_t>(w.p.partition));
+  }
+  w.grant.set(make_grant(w.p, w.n, w.cached, w.mode, w.g));
 }
 
 sim::Task<void> PrimaryCopyProtocol::fulfill_grant(

@@ -59,6 +59,18 @@ class PrimaryCopyProtocol : public Protocol {
     PageSource source = PageSource::Storage;
     SeqNo seqno = 0;
     bool invalidation = false;
+    bool upgrade = false;  ///< the requester already holds the page
+  };
+  /// A remote request parked in the GLA's lock table; lives in the
+  /// gla_lock_request frame until the grant.
+  struct RemoteWaiter {
+    TxnId txn;
+    PageId p;
+    LockMode mode;
+    std::optional<SeqNo> cached;
+    NodeId g, n;
+    sim::SimTime t0;
+    sim::OneShot<GrantMsg> grant;
   };
 
   sim::Task<LockOutcome> acquire_local(node::Txn& txn, PageId p, LockMode mode);
@@ -74,6 +86,9 @@ class PrimaryCopyProtocol : public Protocol {
                              sim::OneShot<GrantMsg>* resp);
   static sim::Task<void> fulfill_grant(sim::OneShot<GrantMsg>* resp,
                                        GrantMsg m);
+  /// Lock-table callback of a parked remote request: decide the grant now,
+  /// at the releasing instant, and wake the request's handler to send it.
+  void remote_granted(RemoteWaiter& w);
   /// GLA-side processing of a remote lock request (message handler body).
   sim::Task<void> gla_lock_request(TxnId txn, PageId p, LockMode mode,
                                    std::optional<SeqNo> cached, NodeId g,

@@ -1,5 +1,7 @@
 #include "cc/protocol.hpp"
 
+#include <type_traits>
+
 #include "obs/audit.hpp"
 
 namespace gemsd::cc {
@@ -90,23 +92,29 @@ void Protocol::revoke_auths_from(NodeId sender, PageId p, NodeId except) {
 
 sim::Task<Protocol::Logical> Protocol::lock_logical(node::Txn& txn, PageId p,
                                                     LockMode mode) {
-  sim::OneShot<bool> granted(sched());
-  const auto res = table_.acquire(
-      p, txn.id, txn.node, mode,
-      [this, granted_ptr = &granted, waiter_node = txn.node] {
-        // Fired during someone's release processing. A waiter on another
-        // node than the releasing context learns of the grant through a
-        // short notification message; a local waiter is resumed directly.
-        if (releasing_node_ == kNoNode || releasing_node_ == waiter_node) {
-          granted_ptr->set(true);
-        } else {
-          sched().spawn(env_.comm->send(releasing_node_, waiter_node,
-                                        /*long_msg=*/false,
-                                        fulfill_bool(granted_ptr, true)));
-        }
-      });
+  LockWaiter waiter{sim::OneShot<bool>(sched()), txn.node};
+  // Fired during someone's release processing. A waiter on another node
+  // than the releasing context learns of the grant through a short
+  // notification message; a local waiter is resumed directly.
+  auto on_grant = [this, w = &waiter] {
+    if (releasing_node_ == kNoNode || releasing_node_ == w->node) {
+      w->granted.set(true);
+    } else {
+      sched().spawn(env_.comm->send(releasing_node_, w->node,
+                                    /*long_msg=*/false,
+                                    fulfill_bool(&w->granted, true)));
+    }
+  };
+  // libstdc++'s std::function keeps a trivially copyable callable of up to
+  // two pointers inline: a lock request then allocates nothing.
+  static_assert(sizeof(on_grant) <= 2 * sizeof(void*) &&
+                std::is_trivially_copyable_v<decltype(on_grant)>);
+  // An upgrade's page is already on the held list (acquisition order).
+  bool upgrade = false;
+  const auto res =
+      table_.acquire(p, txn.id, txn.node, mode, on_grant, &upgrade);
   if (res == LockTable::Outcome::Granted) {
-    if (!txn.holds_page(p)) txn.held.push_back(p);
+    if (!upgrade) txn.held.push_back(p);
     co_return Logical::Granted;
   }
   // Record the wait-for edges BEFORE the deadlock check so a trace shows the
@@ -137,7 +145,7 @@ sim::Task<Protocol::Logical> Protocol::lock_logical(node::Txn& txn, PageId p,
   }
   metrics().lock_waits.inc();
   const sim::SimTime t0 = sched().now();
-  co_await granted.wait();
+  co_await waiter.granted.wait();
   metrics().lock_wait_time.add(sched().now() - t0);
   if (metrics().trace) {
     metrics().trace->span(obs::TraceName::kLockWait,
@@ -145,7 +153,7 @@ sim::Task<Protocol::Logical> Protocol::lock_logical(node::Txn& txn, PageId p,
                           sched().now(), static_cast<double>(p.page),
                           static_cast<std::int32_t>(p.partition));
   }
-  if (!txn.holds_page(p)) txn.held.push_back(p);
+  if (!upgrade) txn.held.push_back(p);
   co_return Logical::GrantedAfterWait;
 }
 

@@ -104,6 +104,12 @@ class Protocol {
 
  protected:
   enum class Logical { Aborted, Granted, GrantedAfterWait };
+  /// A lock_logical request parked in the lock table; lives in the
+  /// requesting coroutine's frame until the grant.
+  struct LockWaiter {
+    sim::OneShot<bool> granted;
+    NodeId node;
+  };
   /// Acquire on the logical table; suspends while waiting (a waiter on a
   /// node other than the releasing context is woken by a short notification
   /// message). Returns Aborted if the wait would close a deadlock cycle (the

@@ -46,7 +46,11 @@ class ShardMap {
 
   int shard_of(PageId p) const {
     if (shards_ == 1) return 0;
-    if (policy_ == Policy::Hashed) return static_cast<int>(mix(p.key()) % m());
+    if (policy_ == Policy::Hashed) {
+      // std::hash<PageId>, so the shard distribution matches the
+      // distribution the directory's hash table sees.
+      return static_cast<int>(std::hash<PageId>{}(p) % m());
+    }
     return shard_of_key(p.page);
   }
 
@@ -88,15 +92,6 @@ class ShardMap {
   ShardMap(Policy policy, int shards, std::int64_t keys_per_block);
 
   std::uint64_t m() const { return static_cast<std::uint64_t>(shards_); }
-
-  /// splitmix64 finalizer — the same mix as std::hash<PageId>, so the shard
-  /// distribution matches the hash-map distribution the directory sees.
-  static std::uint64_t mix(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-  }
 
   Policy policy_;
   int shards_;

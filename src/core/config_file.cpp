@@ -178,6 +178,9 @@ const KeyDef kSystemKeys[] = {
     {"buffer",
      [](SystemConfig& c, const std::string& v, int l) {
        c.buffer_pages = parse_int(v, l);
+       if (c.buffer_pages < 1) {
+         fail(l, "buffer must be >= 1, got '" + v + "'");
+       }
      },
      [](const SystemConfig& c) { return fmt_int(c.buffer_pages); }},
     {"mpl",
@@ -302,16 +305,16 @@ void apply_one(SystemConfig& cfg, const std::string& key,
     if (!pc) fail(line, "unknown partition '" + pname + "'");
     if (field == "storage") {
       pc->storage = parse_storage(val, line);
-    } else if (field == "cache_pages") {
-      pc->disk_cache_pages = parse_i64(val, line);
-      pc->gem_cache_pages = pc->disk_cache_pages;
-    } else if (field == "disk_cache_pages") {
-      pc->disk_cache_pages = parse_i64(val, line);
-    } else if (field == "gem_cache_pages") {
-      pc->gem_cache_pages = parse_i64(val, line);
-    } else {
+      return;
+    }
+    if (field != "cache_pages" && field != "disk_cache_pages" &&
+        field != "gem_cache_pages") {
       fail(line, "unknown partition key '" + field + "'");
     }
+    const std::int64_t pages = parse_i64(val, line);
+    if (pages < 0) fail(line, key + " must be >= 0, got '" + val + "'");
+    if (field != "gem_cache_pages") pc->disk_cache_pages = pages;
+    if (field != "disk_cache_pages") pc->gem_cache_pages = pages;
     return;
   }
   for (const KeyDef& def : kSystemKeys) {

@@ -21,6 +21,19 @@ System::System(const SystemConfig& cfg, Workload wl)
       metrics_(cfg.partitions.size(),
                static_cast<std::size_t>(wl.gen ? wl.gen->num_types() : 1)),
       wl_(std::move(wl)) {
+  // Capacities become unsigned sizes below: a zero buffer would make every
+  // install evict from an empty LRU forever, a negative one would wrap to
+  // an unbounded buffer.
+  if (cfg_.buffer_pages < 1) {
+    throw std::invalid_argument("buffer_pages must be >= 1, got " +
+                                std::to_string(cfg_.buffer_pages));
+  }
+  for (const PartitionConfig& pc : cfg_.partitions) {
+    if (pc.disk_cache_pages < 0 || pc.gem_cache_pages < 0) {
+      throw std::invalid_argument("partition " + pc.name +
+                                  ": cache pages must be >= 0");
+    }
+  }
   storage_ = std::make_unique<storage::StorageManager>(sched_, rng_, cfg_);
   network_ = std::make_unique<net::Network>(sched_, cfg_.comm);
   comm_ = std::make_unique<net::Comm>(sched_, *network_, cfg_.comm,

@@ -4,6 +4,8 @@
 #include <functional>
 #include <string>
 
+#include "sim/flat_map.hpp"
+
 namespace gemsd {
 
 using NodeId = int;
@@ -97,10 +99,6 @@ const char* to_string(StorageKind k);
 template <>
 struct std::hash<gemsd::PageId> {
   std::size_t operator()(const gemsd::PageId& p) const noexcept {
-    // splitmix64 finalizer over the packed key
-    std::uint64_t x = p.key() + 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<std::size_t>(x ^ (x >> 31));
+    return static_cast<std::size_t>(gemsd::sim::mix64(p.key()));
   }
 };

@@ -18,13 +18,12 @@ BufferManager::BufferManager(sim::Scheduler& sched, const SystemConfig& cfg,
 
 std::optional<SeqNo> BufferManager::cached_seqno(PageId p) const {
   if (const Frame* f = frames_.peek(p)) return f->seqno;
-  auto it = writeback_.find(p);
-  if (it != writeback_.end()) return it->second;
+  if (const SeqNo* s = writeback_.find(p)) return *s;
   return std::nullopt;
 }
 
 bool BufferManager::has_copy(PageId p) const {
-  return frames_.contains(p) || writeback_.count(p) != 0;
+  return frames_.contains(p) || writeback_.contains(p);
 }
 
 bool BufferManager::frame_dirty(PageId p) const {
@@ -40,8 +39,9 @@ void BufferManager::hit(PageId p) {
 void BufferManager::touch(PageId p) {
   if (frames_.touch(p) != nullptr) return;
   // The copy only survives in the in-flight write-back table; re-frame it.
-  auto wb = writeback_.find(p);
-  if (wb != writeback_.end()) install_evicting(p, Frame{wb->second, false});
+  if (const SeqNo* wb = writeback_.find(p)) {
+    install_evicting(p, Frame{*wb, false});
+  }
 }
 
 void BufferManager::count_miss(PageId p, bool invalidation) {
@@ -135,19 +135,26 @@ sim::Task<void> BufferManager::read_from_storage(Txn* txn, PageId p,
                                                  SeqNo seqno, bool count) {
   if (count) count_miss(p, false);
   // Merge with an in-flight read of the same page at this node.
-  auto it = inflight_.find(p);
-  if (it != inflight_.end()) {
+  if (inflight_.contains(p)) {
+    MergedRead self;
     co_await sched_.suspend([&](std::coroutine_handle<> h) {
-      inflight_[p].push_back(h);
+      self.h = h;
+      InflightRead& r = *inflight_.find(p);
+      (r.tail != nullptr ? r.tail->next : r.head) = &self;
+      r.tail = &self;
     });
     co_return;
   }
-  inflight_[p];  // mark as leader
+  inflight_.try_emplace(p);  // mark as leader
   co_await device_read(txn, p);
   install(p, seqno, /*dirty=*/false);
-  auto waiters = std::move(inflight_[p]);
+  MergedRead* w = inflight_.find(p)->head;
   inflight_.erase(p);
-  for (auto h : waiters) sched_.schedule(sched_.now(), h);
+  while (w != nullptr) {
+    MergedRead* next = w->next;
+    sched_.schedule(sched_.now(), w->h);
+    w = next;
+  }
 }
 
 void BufferManager::install(PageId p, SeqNo seqno, bool dirty) {
@@ -181,8 +188,9 @@ void BufferManager::evict_one() {
 
 sim::Task<void> BufferManager::writeback_task(PageId p, SeqNo seqno) {
   co_await device_write(nullptr, p);
-  auto it = writeback_.find(p);
-  if (it != writeback_.end() && it->second == seqno) writeback_.erase(it);
+  if (const SeqNo* s = writeback_.find(p); s != nullptr && *s == seqno) {
+    writeback_.erase(p);
+  }
   if (writeback_done_) writeback_done_(node_, p, seqno);
 }
 
@@ -191,9 +199,8 @@ void BufferManager::mark_dirty(PageId p) {
   if (f == nullptr) {
     // The frame was evicted between fetch and modification (possible under
     // heavy replacement): logically the txn still holds the data; reinstall.
-    auto wb = writeback_.find(p);
-    const SeqNo s = wb != writeback_.end() ? wb->second : 0;
-    install_evicting(p, Frame{s, true});
+    const SeqNo* wb = writeback_.find(p);
+    install_evicting(p, Frame{wb != nullptr ? *wb : 0, true});
     return;
   }
   f->dirty = true;

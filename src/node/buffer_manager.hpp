@@ -3,8 +3,6 @@
 #include <coroutine>
 #include <functional>
 #include <optional>
-#include <unordered_map>
-#include <vector>
 
 #include "core/config.hpp"
 #include "core/lru.hpp"
@@ -12,6 +10,7 @@
 #include "core/types.hpp"
 #include "node/cpu.hpp"
 #include "node/txn.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/task.hpp"
@@ -97,6 +96,17 @@ class BufferManager {
     SeqNo seqno = 0;
     bool dirty = false;
   };
+  /// A read merged into another transaction's in-flight read of the same
+  /// page; lives in the waiting coroutine's frame.
+  struct MergedRead {
+    std::coroutine_handle<> h;
+    MergedRead* next = nullptr;
+  };
+  /// The merged readers of one in-flight read, in arrival order.
+  struct InflightRead {
+    MergedRead* head = nullptr;
+    MergedRead* tail = nullptr;
+  };
 
   void install_evicting(PageId p, Frame f);
   void evict_one();
@@ -115,8 +125,8 @@ class BufferManager {
   Metrics& metrics_;
 
   LruMap<Frame> frames_;
-  std::unordered_map<PageId, SeqNo> writeback_;  ///< in-flight dirty evictions
-  std::unordered_map<PageId, std::vector<std::coroutine_handle<>>> inflight_;
+  sim::FlatMap<PageId, SeqNo> writeback_;  ///< in-flight dirty evictions
+  sim::FlatMap<PageId, InflightRead> inflight_;  ///< storage reads under way
   std::function<void(NodeId, PageId, SeqNo)> writeback_done_;
   std::uint64_t writebacks_ = 0;
 };

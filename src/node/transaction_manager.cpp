@@ -36,6 +36,11 @@ void TransactionManager::submit(workload::TxnSpec spec, sim::SimTime arrival) {
   txn.node = node_;
   txn.arrival = arrival;
   txn.spec = std::move(spec);
+  // Sized once, so the lists never regrow while the transaction runs.
+  std::size_t writes = 0;
+  for (const auto& ref : txn.spec.refs) writes += ref.write ? 1 : 0;
+  txn.held.reserve(txn.spec.refs.size());
+  txn.dirty.reserve(writes);
   ++submitted_;
   sched_.spawn(run(std::move(txn)));
 }

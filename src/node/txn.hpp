@@ -32,11 +32,6 @@ struct Txn {
   double t_cc = 0;         ///< concurrency control incl. lock waits & remote requests
   double t_queue = 0;      ///< input queue (MPL) waiting
 
-  bool holds_page(PageId p) const {
-    for (const auto& h : held)
-      if (h == p) return true;
-    return false;
-  }
   void note_dirty(PageId p) {
     for (const auto& d : dirty)
       if (d == p) return;

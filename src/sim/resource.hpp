@@ -2,10 +2,10 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
+#include "sim/ring_queue.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/stats.hpp"
 #include "sim/task.hpp"
@@ -90,8 +90,9 @@ class Resource {
   double pending_wait_time() const {
     const SimTime now = sched_.now();
     double s = 0.0;
-    for (const Waiter& w : q_) {
-      s += now - (w.enq > horizon_start_ ? w.enq : horizon_start_);
+    for (std::size_t i = 0; i < q_.size(); ++i) {
+      const SimTime enq = q_[i].enq;
+      s += now - (enq > horizon_start_ ? enq : horizon_start_);
     }
     return s;
   }
@@ -136,7 +137,7 @@ class Resource {
   int cap_;
   int busy_ = 0;
   std::string name_;
-  std::deque<Waiter> q_;
+  RingQueue<Waiter> q_;
   TimeWeighted busy_tw_;
   TimeWeighted qlen_tw_;
   MeanStat wait_;

@@ -9,9 +9,9 @@ Scheduler::~Scheduler() {
   drain_dead();
   // Destroy still-suspended root processes; nested frames are owned by their
   // parents' Task locals and cascade automatically.
-  for (void* p : roots_) {
+  roots_.for_each([](void* p, FlatUnit&) {
     std::coroutine_handle<>::from_address(p).destroy();
-  }
+  });
 }
 
 // The heap is 4-ary: half the tree height of a binary heap, and the four
@@ -91,7 +91,7 @@ void Scheduler::dispatch(const Ev& ev) {
 void Scheduler::spawn(Task<void> t) {
   auto h = t.release();
   h.promise().reaper = this;
-  roots_.insert(h.address());
+  roots_.try_emplace(h.address());
   schedule(now_, h);
 }
 

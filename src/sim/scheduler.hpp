@@ -3,9 +3,9 @@
 #include <coroutine>
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
+#include "sim/flat_map.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 
@@ -138,7 +138,7 @@ class Scheduler {
   std::uint64_t seq_ = 0;
   std::size_t max_queued_ = 0;
   std::uint64_t processed_ = 0;
-  std::unordered_set<void*> roots_;
+  FlatSet<void*> roots_;  ///< frames of live root processes
   std::vector<std::coroutine_handle<>> dead_;
   std::function<void()> progress_cb_;
   std::uint64_t progress_every_ = 0;  ///< 0 = hook disabled

@@ -6,6 +6,8 @@
 #include <optional>
 #include <utility>
 
+#include "sim/frame_pool.hpp"
+
 namespace gemsd::sim {
 
 class Scheduler;
@@ -19,6 +21,12 @@ class PromiseBase {
  public:
   std::coroutine_handle<> continuation;
   Scheduler* reaper = nullptr;  // set only on root (spawned) tasks
+
+  /// Frames come from the thread's size-class free lists, not the heap.
+  static void* operator new(std::size_t n) { return FramePool::allocate(n); }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    FramePool::deallocate(p, n);
+  }
 
   std::suspend_always initial_suspend() noexcept { return {}; }
 

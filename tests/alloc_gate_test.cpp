@@ -1,0 +1,84 @@
+// Allocation gate on the model's hot path (DESIGN.md §5a): after warm-up,
+// a run may make only a few heap allocations per committed transaction. The
+// binary replaces the global operator new with a counting one, so it is its
+// own executable (the main suite does not pay for the counter). The counts
+// are deterministic for a given binary, so the gate is exact where a
+// wall-clock benchmark cannot be.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include "core/experiment.hpp"
+#include "core/system.hpp"
+#include "workload/trace_generator.hpp"
+
+namespace {
+std::uint64_t g_allocs = 0;
+}  // namespace
+
+// The array and nothrow forms forward to these in libstdc++.
+void* operator new(std::size_t n) {
+  ++g_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace gemsd {
+namespace {
+
+/// Heap allocations per commit in the measured phase of a run of `cfg`.
+double allocs_per_commit(const SystemConfig& cfg, System::Workload wl) {
+  System sys(cfg, std::move(wl));
+  sys.start_source();
+  sys.run_until(cfg.warmup);
+  sys.reset_stats();
+  const std::uint64_t before = g_allocs;
+  sys.run_until(cfg.warmup + cfg.measure);
+  const std::uint64_t allocs = g_allocs - before;
+  const RunResult r = sys.collect();
+  EXPECT_GT(r.commits, 1000u);
+  return static_cast<double>(allocs) / static_cast<double>(r.commits);
+}
+
+TEST(AllocGate, GemTraceCellStaysWithinBudget) {
+  // fig_4_7-style cell: the synthetic trace on 8 nodes, GEM locking,
+  // affinity routing, buffer 1000; ~490 events per commit.
+  sim::Rng rng(1);
+  const workload::Trace trace =
+      workload::generate_synthetic_trace(workload::SyntheticTraceConfig{}, rng);
+  SystemConfig cfg = make_trace_config(trace);
+  cfg.nodes = 8;
+  cfg.coupling = Coupling::GemLocking;
+  cfg.routing = Routing::Affinity;
+  cfg.warmup = 5.0;
+  cfg.measure = 5.0;
+  const double per_commit =
+      allocs_per_commit(cfg, make_trace_workload(cfg, trace));
+  EXPECT_LE(per_commit, 15.0);
+  RecordProperty("allocs_per_commit", std::to_string(per_commit));
+}
+
+TEST(AllocGate, PclDebitCreditCellStaysWithinBudget) {
+  // fig_4_5-style cell: debit-credit on 10 nodes, primary copy locking,
+  // random routing, NOFORCE, buffer 1000.
+  SystemConfig cfg = make_debit_credit_config();
+  cfg.nodes = 10;
+  cfg.arrival_rate_per_node = 100.0;
+  cfg.coupling = Coupling::PrimaryCopy;
+  cfg.routing = Routing::Random;
+  cfg.update = UpdateStrategy::NoForce;
+  cfg.buffer_pages = 1000;
+  cfg.warmup = 5.0;
+  cfg.measure = 10.0;
+  const double per_commit =
+      allocs_per_commit(cfg, make_debit_credit_workload(cfg));
+  EXPECT_LE(per_commit, 30.0);
+  RecordProperty("allocs_per_commit", std::to_string(per_commit));
+}
+
+}  // namespace
+}  // namespace gemsd

@@ -103,6 +103,41 @@ TEST(RunSpec, ErrorsCarryLineNumbers) {
   }
 }
 
+/// The error message of parsing `text`, or "" when it parses.
+std::string parse_error(const std::string& text) {
+  try {
+    parse(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(RunSpec, ZeroBufferIsRejectedWithKeyAndLine) {
+  // buffer = 0 used to hang: every install evicted from an empty LRU.
+  const std::string err = parse_error("[system]\nnodes = 2\nbuffer = 0\n");
+  EXPECT_NE(err.find("line 3"), std::string::npos) << err;
+  EXPECT_NE(err.find("buffer"), std::string::npos) << err;
+}
+
+TEST(RunSpec, NegativeBufferIsRejectedWithKeyAndLine) {
+  // buffer = -5 used to wrap to an unbounded buffer and run silently.
+  const std::string err = parse_error("[system]\nbuffer = -5\n");
+  EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+  EXPECT_NE(err.find("buffer"), std::string::npos) << err;
+}
+
+TEST(RunSpec, NegativeCachePagesAreRejected) {
+  for (const char* key :
+       {"cache_pages", "disk_cache_pages", "gem_cache_pages"}) {
+    const std::string err = parse_error(
+        std::string("[partition.ACCOUNT]\n") + key + " = -1\n");
+    EXPECT_NE(err.find("line 2"), std::string::npos) << key << ": " << err;
+    EXPECT_NE(err.find(key), std::string::npos) << key << ": " << err;
+  }
+  EXPECT_EQ(parse_error("[partition.ACCOUNT]\ncache_pages = 0\n"), "");
+}
+
 TEST(RunSpec, ShippedSpecsParse) {
   // The specs/ directory must stay in sync with the parser.
   const std::string bases[] = {"specs/", "../specs/", "../../specs/"};

@@ -4,6 +4,7 @@
 // system-level properties (determinism, TPC scaling, stats reset).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <tuple>
 
 #include "core/experiment.hpp"
@@ -194,6 +195,37 @@ TEST(System, MplLimitsConcurrency) {
   const RunResult r = sys.run();
   EXPECT_GT(sys.metrics().mpl_wait.mean(), 0.0);
   EXPECT_GT(r.brk_queue_ms, 0.0);
+}
+
+TEST(System, ZeroBufferIsRejected) {
+  // A 2-node GEM debit-credit cluster with buffer 0 used to hang in the
+  // first install (eviction from an empty LRU, forever).
+  SystemConfig cfg = base_cfg();
+  cfg.nodes = 2;
+  cfg.buffer_pages = 0;
+  EXPECT_THROW(System(cfg, make_debit_credit_workload(cfg)),
+               std::invalid_argument);
+}
+
+TEST(System, NegativeBufferIsRejected) {
+  // buffer -5 used to wrap to SIZE_MAX frames and run as an unbounded
+  // buffer, printing a normal-looking row.
+  SystemConfig cfg = base_cfg();
+  cfg.nodes = 2;
+  cfg.buffer_pages = -5;
+  EXPECT_THROW(System(cfg, make_debit_credit_workload(cfg)),
+               std::invalid_argument);
+}
+
+TEST(System, NegativeCachePagesAreRejected) {
+  SystemConfig cfg = base_cfg();
+  cfg.partitions[0].disk_cache_pages = -1;
+  EXPECT_THROW(System(cfg, make_debit_credit_workload(cfg)),
+               std::invalid_argument);
+  cfg = base_cfg();
+  cfg.partitions[0].gem_cache_pages = -1;
+  EXPECT_THROW(System(cfg, make_debit_credit_workload(cfg)),
+               std::invalid_argument);
 }
 
 TEST(System, TraceWorkloadEndToEnd) {
