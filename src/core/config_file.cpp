@@ -137,6 +137,10 @@ const KeyDef kSystemKeys[] = {
     {"tps",
      [](SystemConfig& c, const std::string& v, int l) {
        c.arrival_rate_per_node = parse_num(v, l);
+       if (!(std::isfinite(c.arrival_rate_per_node) &&
+             c.arrival_rate_per_node > 0)) {
+         fail(l, "tps must be a finite number > 0, got '" + v + "'");
+       }
      },
      [](const SystemConfig& c) { return fmt_num(c.arrival_rate_per_node); }},
     {"coupling",
@@ -191,11 +195,17 @@ const KeyDef kSystemKeys[] = {
     {"warmup",
      [](SystemConfig& c, const std::string& v, int l) {
        c.warmup = parse_num(v, l);
+       if (!(std::isfinite(c.warmup) && c.warmup >= 0)) {
+         fail(l, "warmup must be a finite number >= 0, got '" + v + "'");
+       }
      },
      [](const SystemConfig& c) { return fmt_num(c.warmup); }},
     {"measure",
      [](SystemConfig& c, const std::string& v, int l) {
        c.measure = parse_num(v, l);
+       if (!(std::isfinite(c.measure) && c.measure > 0)) {
+         fail(l, "measure must be a finite number > 0, got '" + v + "'");
+       }
      },
      [](const SystemConfig& c) { return fmt_num(c.measure); }},
     {"seed",

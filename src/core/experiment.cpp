@@ -1,5 +1,6 @@
 #include "core/experiment.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -119,9 +120,11 @@ std::string try_parse_bench_args(const std::vector<std::string>& args,
       o.warmup = 2.0;
       o.measure = 6.0;
     } else if (value_of(a, "--measure", v)) {
-      num_ok = to_double(v, o.measure);
+      num_ok = to_double(v, o.measure) && std::isfinite(o.measure) &&
+               o.measure > 0;
     } else if (value_of(a, "--warmup", v)) {
-      num_ok = to_double(v, o.warmup);
+      num_ok = to_double(v, o.warmup) && std::isfinite(o.warmup) &&
+               o.warmup >= 0;
     } else if (value_of(a, "--max-nodes", v)) {
       num_ok = to_int(v, o.max_nodes);
     } else if (value_of(a, "--jobs", v)) {
@@ -193,8 +196,8 @@ std::string bench_usage() {
       "  --quick            shorter measurement interval (CI-friendly):\n"
       "                     warmup 2 s, measure 6 s. Later flags win, so\n"
       "                     '--quick --warmup=5' restores the default cut\n"
-      "  --measure=S        measurement seconds (default 20)\n"
-      "  --warmup=S         warm-up seconds (default 5, the\n"
+      "  --measure=S        measurement seconds, finite and > 0 (default 20)\n"
+      "  --warmup=S         warm-up seconds, finite and >= 0 (default 5, the\n"
       "                     SystemConfig::warmup default; check it after the\n"
       "                     fact with gemsd_analyze --timeseries)\n"
       "  --max-nodes=N      cap the node sweep\n"

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
@@ -27,6 +28,23 @@ System::System(const SystemConfig& cfg, Workload wl)
   if (cfg_.buffer_pages < 1) {
     throw std::invalid_argument("buffer_pages must be >= 1, got " +
                                 std::to_string(cfg_.buffer_pages));
+  }
+  // These become event times: an infinite or NaN horizon never ends or
+  // never starts, a negative warm-up would move the clock back, and a
+  // non-positive rate makes arrivals that never advance time.
+  if (!(std::isfinite(cfg_.warmup) && cfg_.warmup >= 0)) {
+    throw std::invalid_argument("warmup must be finite and >= 0, got " +
+                                std::to_string(cfg_.warmup));
+  }
+  if (!(std::isfinite(cfg_.measure) && cfg_.measure > 0)) {
+    throw std::invalid_argument("measure must be finite and > 0, got " +
+                                std::to_string(cfg_.measure));
+  }
+  if (!(std::isfinite(cfg_.arrival_rate_per_node) &&
+        cfg_.arrival_rate_per_node > 0)) {
+    throw std::invalid_argument(
+        "arrival_rate_per_node must be finite and > 0, got " +
+        std::to_string(cfg_.arrival_rate_per_node));
   }
   for (const PartitionConfig& pc : cfg_.partitions) {
     if (pc.disk_cache_pages < 0 || pc.gem_cache_pages < 0) {

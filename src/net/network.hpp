@@ -3,7 +3,6 @@
 #include "core/config.hpp"
 #include "sim/resource.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/task.hpp"
 
 namespace gemsd::net {
 
@@ -15,10 +14,10 @@ class Network {
   Network(sim::Scheduler& sched, const CommConfig& cfg)
       : cfg_(cfg), link_(sched, 1, "net") {}
 
-  sim::Task<void> transmit(bool long_msg) {
+  sim::Resource::Use transmit(bool long_msg) {
     (long_msg ? long_msgs_ : short_msgs_).inc();
     const double bytes = long_msg ? cfg_.long_bytes : cfg_.short_bytes;
-    co_await link_.use(bytes / cfg_.bandwidth);
+    return link_.use(bytes / cfg_.bandwidth);
   }
 
   double utilization() const { return link_.utilization(); }

@@ -5,7 +5,6 @@
 #include "core/config.hpp"
 #include "sim/resource.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/task.hpp"
 
 namespace gemsd::node {
 
@@ -20,20 +19,17 @@ class CpuSet {
       : sched_(sched), cfg_(cfg), procs_(sched, cfg.processors, std::move(name)) {}
 
   /// Acquire a processor, execute `instr` instructions, release.
-  /// Returns the queueing delay experienced.
-  sim::Task<double> consume(double instr) {
-    const double w = co_await procs_.acquire();
-    co_await sched_.delay(cfg_.instr_to_seconds(instr));
-    procs_.release();
-    co_return w;
+  /// Awaiting it yields the queueing delay experienced.
+  sim::Resource::Use consume(double instr) {
+    return procs_.use(cfg_.instr_to_seconds(instr));
   }
 
   /// For compound holds: acquire (awaitable returning wait time) / release.
   auto acquire() { return procs_.acquire(); }
   void release() { procs_.release(); }
   /// Execute instructions while already holding a processor.
-  sim::Task<void> busy(double instr) {
-    co_await sched_.delay(cfg_.instr_to_seconds(instr));
+  auto busy(double instr) {
+    return sched_.delay(cfg_.instr_to_seconds(instr));
   }
 
   double seconds(double instr) const { return cfg_.instr_to_seconds(instr); }

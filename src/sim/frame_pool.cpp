@@ -48,9 +48,12 @@ struct FreeLists {
 
 thread_local FreeLists t_lists;
 
+constinit thread_local std::uint64_t t_frames = 0;
+
 }  // namespace
 
 void* FramePool::allocate(std::size_t n) {
+  ++t_frames;
   const std::size_t c = (n - 1) / kGranule;  // frames are never empty
   if (c >= kClasses || t_lists_gone) return ::operator new(n);
   FreeBlock*& head = t_lists.head[c];
@@ -73,5 +76,7 @@ void FramePool::deallocate(void* p, std::size_t n) noexcept {
   t_lists.head[c] = b;
   GEMSD_POISON(b, block_bytes(c));
 }
+
+std::uint64_t FramePool::frames_allocated() { return t_frames; }
 
 }  // namespace gemsd::sim::detail

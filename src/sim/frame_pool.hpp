@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace gemsd::sim::detail {
 
@@ -20,10 +21,16 @@ namespace gemsd::sim::detail {
 ///
 /// Under AddressSanitizer a parked block is poisoned until it is handed out
 /// again, so a use-after-free of a destroyed frame still reports.
+///
+/// The pool also counts the frames it hands out on the calling thread: for
+/// a given binary the count is exact, so tests can gate coroutine frames per
+/// commit the way they gate heap allocations.
 class FramePool {
  public:
   static void* allocate(std::size_t n);
   static void deallocate(void* p, std::size_t n) noexcept;
+  /// Frames handed out on this thread so far (pooled or not).
+  static std::uint64_t frames_allocated();
 };
 
 }  // namespace gemsd::sim::detail

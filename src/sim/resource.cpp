@@ -30,7 +30,7 @@ void Resource::release() {
   }
 }
 
-Task<double> Resource::use(SimTime service) {
+Task<double> Resource::queue_and_hold(SimTime service) {
   const double wait = co_await acquire();
   co_await sched_.delay(service);
   release();

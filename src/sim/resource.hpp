@@ -54,8 +54,51 @@ class Resource {
   /// Release one server; hands the slot to the oldest waiter if any.
   void release();
 
-  /// Acquire, hold for `service`, release. Returns the waiting time.
-  Task<double> use(SimTime service);
+  /// Awaitable returned by use(). With a server free it needs no coroutine
+  /// of its own: it grants the server, records the zero wait and schedules
+  /// the caller at now + service (or, for service <= 0, does not suspend);
+  /// await_resume releases. With every server busy it starts a child
+  /// coroutine running acquire/delay/release, which it owns, so the child
+  /// lives in (and is destroyed with) the caller's frame. Either way the
+  /// schedule calls and statistics are those of acquire(), delay(service),
+  /// release().
+  class [[nodiscard]] Use {
+   public:
+    Use(Resource& r, SimTime service) : r_(r), service_(service) {}
+
+    bool await_ready() {
+      if (r_.busy_ >= r_.cap_) return false;
+      ++r_.arrivals_;
+      r_.grant_now();
+      r_.note_granted(-1.0, 0.0);
+      held_ = true;
+      return service_ <= 0.0;
+    }
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
+      if (held_) {
+        r_.sched_.schedule(r_.sched_.now() + service_, h);
+        return std::noop_coroutine();
+      }
+      // Start the child the way `co_await child_` would: it runs now and
+      // resumes `h` when it finishes.
+      child_ = r_.queue_and_hold(service_);
+      return std::move(child_).operator co_await().await_suspend(h);
+    }
+    double await_resume() {
+      if (!held_) return std::move(child_).operator co_await().await_resume();
+      r_.release();
+      return 0.0;
+    }
+
+   private:
+    Resource& r_;
+    SimTime service_;
+    bool held_ = false;
+    Task<double> child_;
+  };
+
+  /// Acquire, hold for `service`, release. Resumes with the waiting time.
+  Use use(SimTime service) { return Use{*this, service}; }
 
   int capacity() const { return cap_; }
   int busy() const { return busy_; }
@@ -124,6 +167,8 @@ class Resource {
   };
 
   void grant_now();
+  /// use()'s body when no server is free: queue, hold, release.
+  Task<double> queue_and_hold(SimTime service);
   void note_granted(SimTime enq, double wait) {
     wait_.add(wait);
     if (enq >= 0.0) {

@@ -1,6 +1,6 @@
 #include "sim/scheduler.hpp"
 
-#include <cassert>
+#include <limits>
 #include <utility>
 
 namespace gemsd::sim {
@@ -15,21 +15,19 @@ Scheduler::~Scheduler() {
 }
 
 // The heap is 4-ary: half the tree height of a binary heap, and the four
-// children of a node sit in one 32-byte span of the flat Ev array (about a
-// cache line), so the extra comparisons per level are nearly free while the
-// sift paths — the part deep queues pay for — shrink by 2x. Because (t, key)
-// is a strict total order (key embeds the unique schedule sequence number),
-// pop order is independent of heap arity: results are bit-identical to the
-// binary heap this replaces. See BM_QueueDepth in bench/bench_kernel.cpp.
+// children of a node sit in one 96-byte span of the flat Ev array, so the
+// extra comparisons per level are nearly free while the sift paths — the
+// part deep queues pay for — shrink by 2x. Because (t, key) is a strict
+// total order (key embeds the unique schedule sequence number), pop order is
+// independent of heap arity. See BM_QueueDepth in bench/bench_kernel.cpp.
 void Scheduler::push(Ev ev) {
-  assert(ev.t >= now_);
-  heap_.push_back(ev);
-  if (heap_.size() > max_queued_) max_queued_ = heap_.size();
+  if (heap_.size() == size_ + kPad) heap_.push_back(kSentinel);
   // Sift up: hole-based (move the parent down instead of swapping).
-  std::size_t i = heap_.size() - 1;
+  const Rank r = rank(ev);
+  std::size_t i = size_++;
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
-    if (!before(ev, heap_[parent])) break;
+    if (r >= rank(heap_[parent])) break;
     heap_[i] = heap_[parent];
     i = parent;
   }
@@ -37,24 +35,28 @@ void Scheduler::push(Ev ev) {
 }
 
 Scheduler::Ev Scheduler::pop_top() {
-  const Ev top = heap_.front();
-  const Ev last = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (n == 0) return top;
-  // Sift down: pick the smallest of up to four children per level.
+  const Ev top = heap_[0];
+  const Ev last = heap_[--size_];
+  heap_[size_] = kSentinel;
+  if (size_ == 0) return top;
+  const Rank r = rank(last);
+  // Sift down. The smallest of the four children (sentinels past the end
+  // never win) is picked with conditional moves: which child is smallest is
+  // data-dependent and a branch on it mispredicts about half the time.
   std::size_t i = 0;
-  for (;;) {
-    const std::size_t first = 4 * i + 1;
-    if (first >= n) break;
-    const std::size_t end = first + 4 < n ? first + 4 : n;
-    std::size_t min = first;
-    for (std::size_t c = first + 1; c < end; ++c) {
-      if (before(heap_[c], heap_[min])) min = c;
-    }
-    if (!before(heap_[min], last)) break;
-    heap_[i] = heap_[min];
-    i = min;
+  for (std::size_t first = 1; first < size_; first = 4 * i + 1) {
+    const Ev* c = &heap_[first];
+    const Rank r0 = rank(c[0]), r1 = rank(c[1]);
+    const Rank r2 = rank(c[2]), r3 = rank(c[3]);
+    const bool b01 = r1 < r0, b23 = r3 < r2;
+    const Rank m01 = b01 ? r1 : r0, m23 = b23 ? r3 : r2;
+    const bool b = m23 < m01;
+    const Rank m = b ? m23 : m01;
+    const std::size_t k01 = b01, k23 = 2 + std::size_t{b23};
+    const std::size_t k = k01 ^ ((k01 ^ k23) & -std::size_t{b});
+    if (m >= r) break;
+    heap_[i] = c[k];
+    i = first + k;
   }
   heap_[i] = last;
   return top;
@@ -70,7 +72,7 @@ void Scheduler::schedule_call(SimTime t, std::function<void()> fn) {
     slot = static_cast<std::uint32_t>(slab_.size());
     slab_.push_back(std::move(fn));
   }
-  push(Ev{t, (seq_++ << 1) | 1u, slot});
+  enqueue(t, (seq_++ << 1) | 1u, slot);
 }
 
 void Scheduler::dispatch(const Ev& ev) {
@@ -105,31 +107,26 @@ void Scheduler::drain_dead_slow() {
   dead_.clear();
 }
 
-std::uint64_t Scheduler::run_until(SimTime end) {
+// Pop rule: the heap top if it is due now, else the lane front, else the
+// heap top if it is due by `end`. Lane events all carry t == now and were
+// scheduled at now, after every heap event due now was scheduled, so this
+// merge is exactly (t, seq) order. The clock only moves when the lane is
+// empty, which keeps every lane event at t == now.
+std::uint64_t Scheduler::drain(SimTime end) {
   std::uint64_t n = 0;
-  while (!heap_.empty() && heap_.front().t <= end) {
-    const Ev ev = pop_top();
-    now_ = ev.t;
-    dispatch(ev);
-    drain_dead();
-    ++n;
-    // Kept live per event (not folded in at loop exit) so the progress
-    // heartbeat sees a moving count mid-segment.
-    ++processed_;
-    if (progress_every_ != 0 && --progress_left_ == 0) {
-      progress_left_ = progress_every_;
-      progress_cb_();
+  for (;;) {
+    Ev ev{};
+    if (size_ != 0 && time_of(heap_[0]) == now_) {
+      ev = pop_top();
+    } else if (!lane_.empty()) {
+      ev = lane_.front();
+      lane_.pop_front();
+    } else if (size_ != 0 && time_of(heap_[0]) <= end) {
+      ev = pop_top();
+      now_ = time_of(ev);
+    } else {
+      break;
     }
-  }
-  now_ = end;
-  return n;
-}
-
-std::uint64_t Scheduler::run_all() {
-  std::uint64_t n = 0;
-  while (!heap_.empty()) {
-    const Ev ev = pop_top();
-    now_ = ev.t;
     dispatch(ev);
     drain_dead();
     ++n;
@@ -142,6 +139,10 @@ std::uint64_t Scheduler::run_all() {
     }
   }
   return n;
+}
+
+std::uint64_t Scheduler::run_all() {
+  return drain(std::numeric_limits<SimTime>::infinity());
 }
 
 }  // namespace gemsd::sim

@@ -1,11 +1,14 @@
 #pragma once
 
+#include <bit>
+#include <cassert>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "sim/flat_map.hpp"
+#include "sim/ring_queue.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 
@@ -17,12 +20,17 @@ namespace gemsd::sim {
 /// makes the simulation reentrancy-free and teardown safe.
 ///
 /// The event lane is allocation-free in the common case: an event is a
-/// trivially copyable 24-byte heap entry tagged as either a coroutine resume
+/// trivially copyable 24-byte entry tagged as either a coroutine resume
 /// (the payload is the handle address) or a callback (the payload indexes a
 /// side slab of std::function slots, recycled through a free list). The heap
-/// vector and the slab persist and are reused across run_until() calls, so a
-/// steady-state simulation schedules millions of events without touching the
-/// allocator.
+/// vector, the same-instant FIFO and the slab persist and are reused across
+/// run_until() calls, so a steady-state simulation schedules millions of
+/// events without touching the allocator.
+///
+/// Events for a later instant go into a 4-ary min-heap; events for the
+/// current instant (`t == now()`: resource hand-offs, spawns, joins) go into
+/// a FIFO ring instead, which costs no sift. Dispatch order is exactly
+/// `(t, seq)` either way (DESIGN.md §5a).
 ///
 /// A Scheduler is strictly single-threaded: no two threads may touch it at
 /// the same time. Parallelism is across Scheduler instances, one per
@@ -30,7 +38,10 @@ namespace gemsd::sim {
 /// stream (DESIGN.md §5c).
 class Scheduler {
  public:
-  Scheduler() { heap_.reserve(kInitialHeapCapacity); }
+  Scheduler() {
+    heap_.reserve(kInitialHeapCapacity + kPad);
+    heap_.assign(kPad, kSentinel);
+  }
   ~Scheduler();
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
@@ -39,8 +50,7 @@ class Scheduler {
 
   /// Resume `h` at absolute time `t` (>= now). Fast path: no allocation.
   void schedule(SimTime t, std::coroutine_handle<> h) {
-    push(Ev{t, seq_++ << 1,
-            reinterpret_cast<std::uintptr_t>(h.address())});
+    enqueue(t, seq_++ << 1, reinterpret_cast<std::uintptr_t>(h.address()));
   }
   /// Run `fn` at absolute time `t` (timers, arrival generators hooks). The
   /// callable lives in the side slab until it fires; its slot is recycled.
@@ -50,14 +60,19 @@ class Scheduler {
   /// when the process finishes or when the scheduler is destroyed.
   void spawn(Task<void> t);
 
-  /// Process events with timestamp <= end; then advance now to end.
-  /// Returns the number of events processed.
-  std::uint64_t run_until(SimTime end);
+  /// Process events with timestamp <= end (>= now); then advance now to
+  /// end. Returns the number of events processed.
+  std::uint64_t run_until(SimTime end) {
+    assert(end >= now_);
+    const std::uint64_t n = drain(end);
+    now_ = end;
+    return n;
+  }
   /// Process all remaining events. Returns the number processed.
   std::uint64_t run_all();
 
-  bool empty() const { return heap_.empty(); }
-  std::size_t queued_events() const { return heap_.size(); }
+  bool empty() const { return size_ == 0 && lane_.empty(); }
+  std::size_t queued_events() const { return size_ + lane_.size(); }
   /// Event-queue high-water mark (lifetime; not reset between runs).
   std::size_t max_queued() const { return max_queued_; }
   std::uint64_t events_processed() const { return processed_; }
@@ -106,32 +121,57 @@ class Scheduler {
   }
 
  private:
-  /// Flat-heap entry. `key` is (seq << 1) | is_callback: the sequence number
-  /// gives FIFO order among same-timestamp events (identical to the old
-  /// priority_queue tie-break, so event order — and therefore every
-  /// simulation result — is bit-identical), and the low tag bit selects the
-  /// payload interpretation without widening the entry.
+  /// Event entry. `t` is the IEEE-754 bit pattern of the event time: for
+  /// every time >= +0.0 it orders as an unsigned integer exactly as the
+  /// double does, and the heap only ever holds times > now() >= +0.0 (the
+  /// same-instant lane takes `t == now`, -0.0 included). `key` is
+  /// (seq << 1) | is_callback: the sequence number gives FIFO order among
+  /// same-timestamp events, and the low tag bit selects the payload
+  /// interpretation without widening the entry. Heap order is therefore one
+  /// unsigned 128-bit comparison of (t, key).
   struct Ev {
-    SimTime t;
+    std::uint64_t t;
     std::uint64_t key;
     std::uintptr_t payload;  ///< handle address, or callback slab index
   };
-  static bool before(const Ev& a, const Ev& b) {
-    if (a.t != b.t) return a.t < b.t;
-    return a.key < b.key;
-  }
+  using Rank = unsigned __int128;
+  static Rank rank(const Ev& e) { return Rank{e.t} << 64 | e.key; }
+  static SimTime time_of(const Ev& e) { return std::bit_cast<SimTime>(e.t); }
 
   static constexpr std::size_t kInitialHeapCapacity = 1024;
+  /// Sentinel slots kept past the last heap entry, so every sift-down step
+  /// reads four children without a bounds branch; a sentinel outranks
+  /// every real entry.
+  static constexpr std::size_t kPad = 3;
+  static constexpr Ev kSentinel{~std::uint64_t{0}, ~std::uint64_t{0}, 0};
 
+  void enqueue(SimTime t, std::uint64_t key, std::uintptr_t payload) {
+    assert(t >= now_);
+    const Ev ev{std::bit_cast<std::uint64_t>(t), key, payload};
+    if (t == now_) {
+      lane_.push_back(ev);
+    } else {
+      push(ev);
+    }
+    const std::size_t q = size_ + lane_.size();
+    if (q > max_queued_) max_queued_ = q;
+  }
   void push(Ev ev);
   Ev pop_top();
+  std::uint64_t drain(SimTime end);
   void dispatch(const Ev& ev);
   void drain_dead() {
     if (!dead_.empty()) drain_dead_slow();
   }
   void drain_dead_slow();
 
-  std::vector<Ev> heap_;  ///< 4-ary min-heap ordered by (t, key)
+  /// 4-ary min-heap over [0, size_) ordered by (t, key), then kPad
+  /// sentinels.
+  std::vector<Ev> heap_;
+  std::size_t size_ = 0;
+  /// Events at t == now in schedule order. Every heap event at t == now was
+  /// scheduled before the clock reached t, so it precedes the whole lane.
+  RingQueue<Ev> lane_;
   std::vector<std::function<void()>> slab_;  ///< callback side slab
   std::vector<std::uint32_t> free_slots_;    ///< recycled slab indices
   SimTime now_ = 0.0;

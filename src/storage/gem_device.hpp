@@ -5,7 +5,6 @@
 #include "core/config.hpp"
 #include "sim/resource.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/task.hpp"
 
 namespace gemsd::storage {
 
@@ -27,16 +26,16 @@ class GemDevice {
       : cfg_(cfg), server_(sched, cfg.servers, std::move(name)) {}
 
   /// Transfer one page between main memory and GEM.
-  sim::Task<void> page_access() {
+  sim::Resource::Use page_access() {
     pages_.inc();
-    co_await server_.use(cfg_.page_access);
+    return server_.use(cfg_.page_access);
   }
 
   /// Read or write one entry (double-word granularity; Compare&Swap is an
   /// entry write that may fail logically — same timing).
-  sim::Task<void> entry_access() {
+  sim::Resource::Use entry_access() {
     entries_.inc();
-    co_await server_.use(cfg_.entry_access);
+    return server_.use(cfg_.entry_access);
   }
 
   double utilization() const { return server_.utilization(); }

@@ -1,9 +1,11 @@
 // Allocation gate on the model's hot path (DESIGN.md §5a): after warm-up,
-// a run may make only a few heap allocations per committed transaction. The
-// binary replaces the global operator new with a counting one, so it is its
-// own executable (the main suite does not pay for the counter). The counts
-// are deterministic for a given binary, so the gate is exact where a
-// wall-clock benchmark cannot be.
+// a run may make only a few heap allocations and a bounded number of
+// coroutine frames per committed transaction. The binary replaces the
+// global operator new with a counting one, so it is its own executable (the
+// main suite does not pay for the counter); frames are counted by the frame
+// pool. The counts are deterministic for a given binary, so the gate is
+// exact where a wall-clock benchmark cannot be: a coroutine wrapper that
+// creeps back around a station fails it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,6 +14,7 @@
 
 #include "core/experiment.hpp"
 #include "core/system.hpp"
+#include "sim/frame_pool.hpp"
 #include "workload/trace_generator.hpp"
 
 namespace {
@@ -30,18 +33,34 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 namespace gemsd {
 namespace {
 
-/// Heap allocations per commit in the measured phase of a run of `cfg`.
-double allocs_per_commit(const SystemConfig& cfg, System::Workload wl) {
+struct PerCommit {
+  double allocs;  ///< heap allocations
+  double frames;  ///< coroutine frames
+};
+
+/// Heap allocations and coroutine frames per commit in the measured phase
+/// of a run of `cfg`; both are recorded as test properties.
+PerCommit per_commit(const SystemConfig& cfg, System::Workload wl) {
+  using sim::detail::FramePool;
   System sys(cfg, std::move(wl));
   sys.start_source();
   sys.run_until(cfg.warmup);
   sys.reset_stats();
-  const std::uint64_t before = g_allocs;
+  const std::uint64_t allocs0 = g_allocs;
+  const std::uint64_t frames0 = FramePool::frames_allocated();
   sys.run_until(cfg.warmup + cfg.measure);
-  const std::uint64_t allocs = g_allocs - before;
+  const std::uint64_t allocs = g_allocs - allocs0;
+  const std::uint64_t frames = FramePool::frames_allocated() - frames0;
   const RunResult r = sys.collect();
   EXPECT_GT(r.commits, 1000u);
-  return static_cast<double>(allocs) / static_cast<double>(r.commits);
+  const double commits = static_cast<double>(r.commits);
+  const PerCommit c{static_cast<double>(allocs) / commits,
+                    static_cast<double>(frames) / commits};
+  ::testing::Test::RecordProperty("allocs_per_commit",
+                                  std::to_string(c.allocs));
+  ::testing::Test::RecordProperty("frames_per_commit",
+                                  std::to_string(c.frames));
+  return c;
 }
 
 TEST(AllocGate, GemTraceCellStaysWithinBudget) {
@@ -56,10 +75,9 @@ TEST(AllocGate, GemTraceCellStaysWithinBudget) {
   cfg.routing = Routing::Affinity;
   cfg.warmup = 5.0;
   cfg.measure = 5.0;
-  const double per_commit =
-      allocs_per_commit(cfg, make_trace_workload(cfg, trace));
-  EXPECT_LE(per_commit, 15.0);
-  RecordProperty("allocs_per_commit", std::to_string(per_commit));
+  const PerCommit c = per_commit(cfg, make_trace_workload(cfg, trace));
+  EXPECT_LE(c.allocs, 15.0);
+  EXPECT_LE(c.frames, 490.0);  // measured 423.6
 }
 
 TEST(AllocGate, PclDebitCreditCellStaysWithinBudget) {
@@ -74,10 +92,9 @@ TEST(AllocGate, PclDebitCreditCellStaysWithinBudget) {
   cfg.buffer_pages = 1000;
   cfg.warmup = 5.0;
   cfg.measure = 10.0;
-  const double per_commit =
-      allocs_per_commit(cfg, make_debit_credit_workload(cfg));
-  EXPECT_LE(per_commit, 30.0);
-  RecordProperty("allocs_per_commit", std::to_string(per_commit));
+  const PerCommit c = per_commit(cfg, make_debit_credit_workload(cfg));
+  EXPECT_LE(c.allocs, 30.0);
+  EXPECT_LE(c.frames, 70.0);  // measured 61.0
 }
 
 }  // namespace

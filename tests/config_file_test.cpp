@@ -138,6 +138,53 @@ TEST(RunSpec, NegativeCachePagesAreRejected) {
   EXPECT_EQ(parse_error("[partition.ACCOUNT]\ncache_pages = 0\n"), "");
 }
 
+// warmup, measure and tps become event times. Each repro below ran on a
+// 2-node GEM debit-credit spec before the parser checked them.
+
+TEST(RunSpec, InfiniteMeasureIsRejectedWithKeyAndLine) {
+  // measure = inf hung: the run never reached its end.
+  const std::string err = parse_error("[system]\nnodes = 2\nmeasure = inf\n");
+  EXPECT_NE(err.find("line 3"), std::string::npos) << err;
+  EXPECT_NE(err.find("measure"), std::string::npos) << err;
+}
+
+TEST(RunSpec, NanHorizonsAndRateAreRejectedWithKeyAndLine) {
+  // measure, warmup or tps = nan printed an all-zero row and exited 0.
+  for (const char* key : {"measure", "warmup", "tps"}) {
+    const std::string err =
+        parse_error(std::string("[system]\n") + key + " = nan\n");
+    EXPECT_NE(err.find("line 2"), std::string::npos) << key << ": " << err;
+    EXPECT_NE(err.find(key), std::string::npos) << key << ": " << err;
+  }
+}
+
+TEST(RunSpec, NonPositiveMeasureIsRejected) {
+  // measure = -1 printed an all-zero row and exited 0.
+  for (const char* v : {"-1", "0"}) {
+    const std::string err =
+        parse_error(std::string("[system]\nmeasure = ") + v + "\n");
+    EXPECT_NE(err.find("measure"), std::string::npos) << v << ": " << err;
+  }
+}
+
+TEST(RunSpec, NegativeWarmupIsRejected) {
+  // warmup = -1 moved the clock back to -1 and printed a normal-looking row.
+  const std::string err = parse_error("[system]\nwarmup = -1\n");
+  EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+  EXPECT_NE(err.find("warmup"), std::string::npos) << err;
+  EXPECT_EQ(parse_error("[system]\nwarmup = 0\n"), "");
+}
+
+TEST(RunSpec, NonPositiveTpsIsRejected) {
+  // tps = -5 made every inter-arrival gap 0: arrivals never advanced time
+  // and the run was OOM-killed.
+  for (const char* v : {"-5", "0", "inf"}) {
+    const std::string err =
+        parse_error(std::string("[system]\ntps = ") + v + "\n");
+    EXPECT_NE(err.find("tps"), std::string::npos) << v << ": " << err;
+  }
+}
+
 TEST(RunSpec, ShippedSpecsParse) {
   // The specs/ directory must stay in sync with the parser.
   const std::string bases[] = {"specs/", "../specs/", "../../specs/"};

@@ -75,6 +75,20 @@ TEST(BenchArgs, RejectsMalformedValue) {
   EXPECT_NE(try_parse_bench_args({"--measure=fast"}, o), "");
 }
 
+TEST(BenchArgs, RejectsNonFiniteOrNegativeHorizon) {
+  // gemsd_bench --measure=inf hung; nan and negative horizons ran silently.
+  for (const char* a : {"--measure=inf", "--measure=nan", "--measure=-1",
+                        "--measure=0", "--warmup=inf", "--warmup=nan",
+                        "--warmup=-1"}) {
+    BenchOptions o;
+    EXPECT_NE(try_parse_bench_args({a}, o), "") << a;
+  }
+  BenchOptions o;
+  EXPECT_EQ(try_parse_bench_args({"--warmup=0", "--measure=0.5"}, o), "");
+  EXPECT_EQ(o.warmup, 0.0);
+  EXPECT_EQ(o.measure, 0.5);
+}
+
 TEST(BenchArgs, UsageListsEveryFlag) {
   const std::string u = bench_usage();
   for (const char* flag :

@@ -4,6 +4,7 @@
 // system-level properties (determinism, TPC scaling, stats reset).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <tuple>
 
@@ -226,6 +227,43 @@ TEST(System, NegativeCachePagesAreRejected) {
   cfg.partitions[0].gem_cache_pages = -1;
   EXPECT_THROW(System(cfg, make_debit_credit_workload(cfg)),
                std::invalid_argument);
+}
+
+TEST(System, NonFiniteOrNegativeHorizonIsRejected) {
+  // Configs built in code skip the spec parser: an infinite or NaN horizon
+  // hung or ran silently, and a negative warm-up moved the clock back.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double m : {inf, nan, -1.0, 0.0}) {
+    SystemConfig cfg = base_cfg();
+    cfg.nodes = 2;
+    cfg.measure = m;
+    EXPECT_THROW(System(cfg, make_debit_credit_workload(cfg)),
+                 std::invalid_argument)
+        << "measure " << m;
+  }
+  for (const double w : {inf, nan, -1.0}) {
+    SystemConfig cfg = base_cfg();
+    cfg.nodes = 2;
+    cfg.warmup = w;
+    EXPECT_THROW(System(cfg, make_debit_credit_workload(cfg)),
+                 std::invalid_argument)
+        << "warmup " << w;
+  }
+}
+
+TEST(System, NonPositiveArrivalRateIsRejected) {
+  // tps = -5 drew zero inter-arrival gaps until memory ran out.
+  for (const double r :
+       {-5.0, 0.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    SystemConfig cfg = base_cfg();
+    cfg.nodes = 2;
+    cfg.arrival_rate_per_node = r;
+    EXPECT_THROW(System(cfg, make_debit_credit_workload(cfg)),
+                 std::invalid_argument)
+        << "rate " << r;
+  }
 }
 
 TEST(System, TraceWorkloadEndToEnd) {
