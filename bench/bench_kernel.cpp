@@ -9,11 +9,13 @@
 // micro-benchmark, named after it, with the wall-clock numbers in `extra`.
 // gemsd_analyze --compare matches kernel runs by name and reports their
 // deltas, but never gates on them — wall-clock time is machine-dependent,
-// unlike the simulated metrics.
+// unlike the simulated metrics. A results file that cannot be written
+// exits 1.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -211,9 +213,15 @@ int main(int argc, char** argv) {
                      {"cpu_time_ns", c.cpu_time_ns},
                      {"iterations", c.iterations}};
   }
-  const std::string path = write_bench_json(
-      "kernel", "Discrete-event kernel microbenchmarks (wall clock)", opt,
-      runs, {});
-  if (!path.empty()) std::printf("results: %s\n", path.c_str());
+  try {
+    for (const Artifact& a : write_artifacts(
+             "kernel", "Discrete-event kernel microbenchmarks (wall clock)",
+             opt, runs, {})) {
+      std::printf("%s: %s\n", a.label.c_str(), a.path.c_str());
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
   return 0;
 }

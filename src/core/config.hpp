@@ -143,8 +143,11 @@ struct SystemConfig {
     /// count — the knob that lets long runs keep a complete window of just
     /// lock/flow/IO events.
     std::string trace_filter;
-    /// Periodic sampler interval in simulated seconds (0 = off). Samples
-    /// start at t=0 so warm-up convergence is visible.
+    /// No effect: nothing reads it since the periodic sampler was retired
+    /// (the per-window time series below replaces it). Kept only because
+    /// config_json serializes it and config_hash hashes that text, so
+    /// removing it would move every committed baseline's hash. It goes at
+    /// the next re-baseline.
     sim::SimTime sample_every = 0.0;
     /// Keep the K slowest transactions with full phase breakdowns (0 = off).
     int slow_k = 0;

@@ -1,12 +1,13 @@
 #include "core/experiment.hpp"
 
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
+#include <functional>
 #include <regex>
+#include <stdexcept>
 
 #include "obs/fingerprint.hpp"
 #include "obs/json.hpp"
@@ -86,6 +87,8 @@ bool value_of(const std::string& a, const char* flag, std::string& out) {
   return true;
 }
 
+}  // namespace
+
 bool to_double(const std::string& v, double& out) {
   if (v.empty()) return false;
   char* end = nullptr;
@@ -95,7 +98,8 @@ bool to_double(const std::string& v, double& out) {
 
 bool to_int(const std::string& v, int& out) {
   double d;
-  if (!to_double(v, d) || d != static_cast<double>(static_cast<int>(d))) {
+  if (!to_double(v, d) || !(d >= INT_MIN && d <= INT_MAX) ||
+      d != static_cast<double>(static_cast<int>(d))) {
     return false;
   }
   out = static_cast<int>(d);
@@ -108,8 +112,6 @@ bool to_u64(const std::string& v, std::uint64_t& out) {
   out = std::strtoull(v.c_str(), &end, 10);
   return end && *end == '\0';
 }
-
-}  // namespace
 
 std::string try_parse_bench_args(const std::vector<std::string>& args,
                                  BenchOptions& o) {
@@ -135,8 +137,6 @@ std::string try_parse_bench_args(const std::vector<std::string>& args,
       o.full = true;
     } else if (a == "--csv") {
       o.csv = true;
-    } else if (value_of(a, "--sample", v)) {
-      num_ok = to_double(v, o.sample_every);
     } else if (value_of(a, "--slow-k", v)) {
       num_ok = to_int(v, o.slow_k);
     } else if (value_of(a, "--metrics-json", v)) {
@@ -205,7 +205,6 @@ std::string bench_usage() {
       "  --seed=S           simulation seed\n"
       "  --full             verbose per-run diagnostics\n"
       "  --csv              machine-readable output\n"
-      "  --sample=S         telemetry sample interval [sim s] (0 = off)\n"
       "  --slow-k=K         record the K slowest transactions per run\n"
       "  --metrics-json=F   structured results file\n"
       "  --no-json          skip the structured results file\n"
@@ -223,7 +222,9 @@ std::string bench_usage() {
       "  --resources[=F]    per-resource operational snapshot of the\n"
       "                     --trace-run point (gemsd.resources.v1 JSON;\n"
       "                     default results/RESOURCES_<bench>.json; analyze\n"
-      "                     with gemsd_analyze --bottleneck)\n";
+      "                     with gemsd_analyze --bottleneck)\n"
+      "Each file is written to <file>.<pid>.tmp and renamed into place; a\n"
+      "file that cannot be written exits 1.\n";
 }
 
 BenchOptions parse_bench_args(int argc, char** argv) {
@@ -242,45 +243,31 @@ std::vector<std::string> debit_credit_partition_names() {
   return {"B/T", "ACCT", "HIST"};
 }
 
+std::size_t traced_run(const BenchOptions& opt, std::size_t runs) {
+  return static_cast<std::size_t>(opt.trace_run < 0 ? 0 : opt.trace_run) %
+         (runs == 0 ? 1 : runs);
+}
+
 void apply_obs_options(std::vector<SystemConfig>& cfgs,
                        const BenchOptions& opt) {
+  const std::size_t picked = traced_run(opt, cfgs.size());
   for (std::size_t i = 0; i < cfgs.size(); ++i) {
     auto& obs = cfgs[i].obs;
-    obs.sample_every = opt.sample_every;
     obs.slow_k = opt.slow_k;
     obs.audit = opt.audit;
     obs.progress_every_s = opt.progress_every_s;
-    const std::size_t picked =
-        static_cast<std::size_t>(opt.trace_run < 0 ? 0 : opt.trace_run) %
-        (cfgs.empty() ? 1 : cfgs.size());
-    if (!opt.trace_file.empty() && i == picked) {
+    if (i != picked) continue;
+    if (!opt.trace_file.empty()) {
       obs.trace = true;
       obs.trace_capacity = opt.trace_capacity;
       obs.trace_filter = opt.trace_filter;
     }
-    // The time series records the same point as --trace.
-    if (opt.timeseries && i == picked) {
+    if (opt.timeseries) {
       obs.timeseries = true;
       obs.timeseries_window = opt.timeseries_window;
     }
-    // And the resource snapshot.
-    if (opt.resources && i == picked) {
-      obs.resources = true;
-    }
+    if (opt.resources) obs.resources = true;
   }
-}
-
-std::vector<BenchRun> zip_runs(const std::vector<SystemConfig>& cfgs,
-                               const std::vector<RunResult>& results) {
-  std::vector<BenchRun> out;
-  out.reserve(results.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    BenchRun b;
-    if (i < cfgs.size()) b.config = cfgs[i];
-    b.result = results[i];
-    out.push_back(std::move(b));
-  }
-  return out;
 }
 
 namespace {
@@ -380,29 +367,6 @@ void write_telemetry_members(obs::JsonWriter& w, const obs::RunTelemetry* tel) {
   }
   w.end_object();
 
-  w.key("samples");
-  w.begin_array();
-  if (tel) {
-    for (const auto& s : tel->samples) {
-      w.begin_object();
-      w.kv("t", s.t);
-      w.kv("throughput", s.throughput);
-      w.kv("resp_ms", s.resp_ms);
-      w.kv("commits", static_cast<std::uint64_t>(s.commits));
-      w.kv("aborts", static_cast<std::uint64_t>(s.aborts));
-      w.kv("active_txns", s.active_txns);
-      w.kv("mpl_waiting", s.mpl_waiting);
-      w.kv("cpu_busy", s.cpu_busy);
-      w.kv("gem_busy", s.gem_busy);
-      w.kv("net_busy", s.net_busy);
-      w.kv("disk_queue", s.disk_queue);
-      w.kv("sched_queue", s.sched_queue);
-      w.kv("in_warmup", s.in_warmup);
-      w.end_object();
-    }
-  }
-  w.end_array();
-
   w.key("slowest");
   w.begin_array();
   if (tel) {
@@ -428,33 +392,11 @@ void write_telemetry_members(obs::JsonWriter& w, const obs::RunTelemetry* tel) {
   w.end_array();
 }
 
-bool write_text_file(const std::string& path, const std::string& text) {
-  const std::filesystem::path p(path);
-  std::error_code ec;
-  if (p.has_parent_path()) {
-    std::filesystem::create_directories(p.parent_path(), ec);
-  }
-  std::ofstream out(p, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return false;
-  }
-  out << text;
-  return true;
-}
-
-}  // namespace
-
-std::string write_bench_json(const std::string& bench,
-                             const std::string& caption,
-                             const BenchOptions& opt,
-                             const std::vector<BenchRun>& runs,
-                             const std::vector<std::string>& partition_names) {
-  if (opt.no_json) return "";
-  const std::string path = opt.metrics_json.empty()
-                               ? "results/BENCH_" + bench + ".json"
-                               : opt.metrics_json;
-
+/// The gemsd.results.v1 document (see write_artifacts).
+std::string results_json(const std::string& bench, const std::string& caption,
+                         const BenchOptions& opt,
+                         const std::vector<BenchRun>& runs,
+                         const std::vector<std::string>& partition_names) {
   obs::JsonWriter w;
   w.begin_object();
   w.kv("schema", "gemsd.results.v1");
@@ -477,7 +419,6 @@ std::string write_bench_json(const std::string& bench,
   w.kv("measure", opt.measure);
   w.kv("max_nodes", static_cast<std::int64_t>(opt.max_nodes));
   w.kv("seed", static_cast<std::uint64_t>(opt.seed));
-  w.kv("sample_every", opt.sample_every);
   w.kv("slow_k", static_cast<std::int64_t>(opt.slow_k));
   w.kv("audit", opt.audit);
   w.kv("trace_filter", opt.trace_filter);
@@ -506,104 +447,83 @@ std::string write_bench_json(const std::string& bench,
   }
   w.end_array();
   w.end_object();
-
-  return write_text_file(path, w.take()) ? path : "";
+  return w.take();
 }
 
-std::string write_trace_file(const BenchOptions& opt,
-                             const std::vector<BenchRun>& runs) {
-  if (opt.trace_file.empty() || runs.empty()) return "";
-  const std::size_t idx =
-      static_cast<std::size_t>(opt.trace_run < 0 ? 0 : opt.trace_run) %
-      runs.size();
-  const BenchRun& run = runs[idx];
-  const auto* tel = run.result.telemetry.get();
-  if (!tel || !tel->trace_enabled) {
-    std::fprintf(stderr, "warning: --trace given but run %zu has no trace\n",
-                 idx);
-    return "";
-  }
-  obs::JsonWriter git, seed;
-  git.value(obs::build_git_describe());
-  seed.value(static_cast<std::uint64_t>(run.config.seed));
-  obs::JsonWriter hash;
-  hash.value(obs::config_hash_hex(run.config));
-  const std::vector<std::pair<std::string, std::string>> metadata = {
-      {"git", git.take()},
-      {"seed", seed.take()},
-      {"config_hash", hash.take()},
-      {"config", obs::config_json(run.config)},
-  };
-  const std::string json = obs::chrome_trace_json(*tel, metadata);
-  return write_text_file(opt.trace_file, json) ? opt.trace_file : "";
-}
+}  // namespace
 
-std::string write_timeseries_file(const std::string& bench,
-                                  const BenchOptions& opt,
-                                  const std::vector<BenchRun>& runs) {
-  if (!opt.timeseries || runs.empty()) return "";
-  const std::size_t idx =
-      static_cast<std::size_t>(opt.trace_run < 0 ? 0 : opt.trace_run) %
-      runs.size();
-  const BenchRun& run = runs[idx];
-  const auto* tel = run.result.telemetry.get();
-  if (!tel || !tel->timeseries) {
-    std::fprintf(stderr,
-                 "warning: --timeseries given but run %zu has no "
-                 "time series\n",
-                 idx);
-    return "";
-  }
-  obs::JsonWriter git, seed, hash;
-  git.value(obs::build_git_describe());
-  seed.value(static_cast<std::uint64_t>(run.config.seed));
-  hash.value(obs::config_hash_hex(run.config));
-  const std::vector<std::pair<std::string, std::string>> metadata = {
-      {"git", git.take()},
-      {"seed", seed.take()},
-      {"config_hash", hash.take()},
+std::vector<Artifact> write_artifacts(
+    const std::string& bench, const std::string& caption,
+    const BenchOptions& opt, const std::vector<BenchRun>& runs,
+    const std::vector<std::string>& partition_names) {
+  std::vector<Artifact> written;
+  const auto put = [&written](const char* label, const std::string& path,
+                              const std::string& text) {
+    if (const std::string err = obs::write_file(path, text); !err.empty()) {
+      throw std::runtime_error(err);
+    }
+    written.push_back({label, path});
   };
-  const std::string path = opt.timeseries_file.empty()
-                               ? "results/TIMESERIES_" + bench + ".json"
-                               : opt.timeseries_file;
-  return write_text_file(path,
-                         obs::timeseries_json(*tel->timeseries, metadata))
-             ? path
-             : "";
-}
+  if (!opt.no_json) {
+    put("results",
+        opt.metrics_json.empty() ? "results/BENCH_" + bench + ".json"
+                                 : opt.metrics_json,
+        results_json(bench, caption, opt, runs, partition_names));
+  }
+  if (runs.empty()) return written;
 
-std::string write_resources_file(const std::string& bench,
-                                 const BenchOptions& opt,
-                                 const std::vector<BenchRun>& runs) {
-  if (!opt.resources || runs.empty()) return "";
-  const std::size_t idx =
-      static_cast<std::size_t>(opt.trace_run < 0 ? 0 : opt.trace_run) %
-      runs.size();
+  // The traced run's artifacts, each stamped with the same {git, seed,
+  // config_hash} (pre-serialized JSON values); the trace adds the config.
+  const std::size_t idx = traced_run(opt, runs.size());
   const BenchRun& run = runs[idx];
-  const auto* tel = run.result.telemetry.get();
-  if (!tel || !tel->resources) {
-    std::fprintf(stderr,
-                 "warning: --resources given but run %zu has no "
-                 "resource snapshot\n",
-                 idx);
-    return "";
-  }
-  obs::JsonWriter git, seed, hash;
-  git.value(obs::build_git_describe());
-  seed.value(static_cast<std::uint64_t>(run.config.seed));
-  hash.value(obs::config_hash_hex(run.config));
-  const std::vector<std::pair<std::string, std::string>> metadata = {
-      {"git", git.take()},
-      {"seed", seed.take()},
-      {"config_hash", hash.take()},
+  const obs::RunTelemetry* tel = run.result.telemetry.get();
+  const auto json = [](auto v) {
+    obs::JsonWriter w;
+    w.value(v);
+    return w.take();
   };
-  const std::string path = opt.resources_file.empty()
-                               ? "results/RESOURCES_" + bench + ".json"
-                               : opt.resources_file;
-  return write_text_file(path,
-                         obs::resources_json(*tel->resources, metadata))
-             ? path
-             : "";
+  const std::vector<std::pair<std::string, std::string>> meta = {
+      {"git", json(obs::build_git_describe())},
+      {"seed", json(static_cast<std::uint64_t>(run.config.seed))},
+      {"config_hash", json(obs::config_hash_hex(run.config))},
+  };
+  const auto or_default = [&bench](const std::string& file, const char* kind) {
+    return file.empty() ? "results/" + std::string(kind) + "_" + bench + ".json"
+                        : file;
+  };
+  struct Row {
+    const char* label;
+    bool requested;
+    std::string path;
+    bool recorded;
+    std::function<std::string()> render;
+  };
+  const Row rows[] = {
+      {"trace", !opt.trace_file.empty(), opt.trace_file,
+       tel && tel->trace_enabled,
+       [&] {
+         auto m = meta;
+         m.emplace_back("config", obs::config_json(run.config));
+         return obs::chrome_trace_json(*tel, m);
+       }},
+      {"timeseries", opt.timeseries,
+       or_default(opt.timeseries_file, "TIMESERIES"),
+       tel && tel->timeseries,
+       [&] { return obs::timeseries_json(*tel->timeseries, meta); }},
+      {"resources", opt.resources, or_default(opt.resources_file, "RESOURCES"),
+       tel && tel->resources,
+       [&] { return obs::resources_json(*tel->resources, meta); }},
+  };
+  for (const Row& row : rows) {
+    if (!row.requested) continue;
+    if (!row.recorded) {
+      std::fprintf(stderr, "warning: --%s given but run %zu recorded none\n",
+                   row.label, idx);
+      continue;
+    }
+    put(row.label, row.path, row.render());
+  }
+  return written;
 }
 
 std::string fingerprint_line(const std::string& bench,
@@ -614,35 +534,6 @@ std::string fingerprint_line(const std::string& bench,
   s += " seed=" + std::to_string(cfg.seed);
   s += " config=" + obs::config_hash_hex(cfg);
   return s;
-}
-
-void finish_bench(const std::string& bench, const std::string& caption,
-                  const BenchOptions& opt,
-                  const std::vector<SystemConfig>& cfgs,
-                  const std::vector<RunResult>& runs,
-                  const std::vector<std::string>& partition_names) {
-  const auto bruns = zip_runs(cfgs, runs);
-  const std::string json_path =
-      write_bench_json(bench, caption, opt, bruns, partition_names);
-  const std::string trace_path = write_trace_file(opt, bruns);
-  const std::string ts_path = write_timeseries_file(bench, opt, bruns);
-  const std::string res_path = write_resources_file(bench, opt, bruns);
-  const SystemConfig stamp_cfg = cfgs.empty() ? SystemConfig{} : cfgs.front();
-  if (opt.csv) {
-    std::printf("# %s\n", fingerprint_line(bench, stamp_cfg).c_str());
-    print_csv(runs, partition_names);
-  } else {
-    print_table(caption, runs, partition_names, opt.full);
-    std::printf("%s\n", fingerprint_line(bench, stamp_cfg).c_str());
-    if (!json_path.empty()) std::printf("results: %s\n", json_path.c_str());
-    if (!trace_path.empty()) std::printf("trace: %s\n", trace_path.c_str());
-    if (!ts_path.empty()) {
-      std::printf("timeseries: %s\n", ts_path.c_str());
-    }
-    if (!res_path.empty()) {
-      std::printf("resources: %s\n", res_path.c_str());
-    }
-  }
 }
 
 }  // namespace gemsd

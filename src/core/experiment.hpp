@@ -32,7 +32,6 @@ RunResult run_trace(const SystemConfig& cfg, const workload::Trace& trace);
 ///                      (default: hardware_concurrency; 1 = serial)
 ///   --full             verbose per-run diagnostics
 ///   --csv              machine-readable output
-///   --sample=S         periodic telemetry sample interval [sim s] (0 = off)
 ///   --slow-k=K         record the K slowest transactions per run
 ///   --metrics-json=F   structured results file (default results/BENCH_<name>.json)
 ///   --no-json          skip the structured results file
@@ -63,7 +62,6 @@ struct BenchOptions {
   bool full = false;
   bool csv = false;
   std::uint64_t seed = 42;
-  double sample_every = 1.0;
   int slow_k = 10;
   std::string metrics_json;
   bool no_json = false;
@@ -90,6 +88,13 @@ struct BenchOptions {
 std::string try_parse_bench_args(const std::vector<std::string>& args,
                                  BenchOptions& o);
 
+/// Strict number parsing for every CLI flag: the whole of `v` must be the
+/// number (no trailing text, not empty); to_int also requires an integral
+/// value in int range. On false `out` is unspecified.
+bool to_double(const std::string& v, double& out);
+bool to_int(const std::string& v, int& out);
+bool to_u64(const std::string& v, std::uint64_t& out);
+
 /// One usage block listing every shared flag (callers prepend their own).
 std::string bench_usage();
 
@@ -101,9 +106,14 @@ BenchOptions parse_bench_args(int argc, char** argv);
 /// Names of the debit-credit partitions (report columns).
 std::vector<std::string> debit_credit_partition_names();
 
-/// Stamp the result-neutral options on every config of a sweep: sampler and
-/// slow-transaction log on all points; the trace ring only on the
-/// --trace-run point (and only when --trace was given).
+/// The sweep point that --trace, --timeseries and --resources record:
+/// --trace-run modulo the number of runs.
+std::size_t traced_run(const BenchOptions& opt, std::size_t runs);
+
+/// Stamp the result-neutral options on every config of a sweep: the
+/// slow-transaction log, auditors and heartbeat on all points; the trace
+/// ring (only when --trace was given), time series and resource snapshot on
+/// the traced point.
 void apply_obs_options(std::vector<SystemConfig>& cfgs,
                        const BenchOptions& opt);
 
@@ -119,52 +129,34 @@ struct BenchRun {
   std::vector<std::pair<std::string, double>> extra;
 };
 
-/// Zip a sweep's configs and results (same order) into BenchRuns.
-std::vector<BenchRun> zip_runs(const std::vector<SystemConfig>& cfgs,
-                               const std::vector<RunResult>& results);
+/// One file write_artifacts wrote: "results", "trace", "timeseries" or
+/// "resources", and its path.
+struct Artifact {
+  std::string label;
+  std::string path;
+};
 
-/// Write the machine-readable results document ("gemsd.results.v1",
-/// validated by schemas/results.schema.json): caption, git describe, bench
-/// options, and per run the full config (with fingerprint hash), headline
-/// metrics, detail metrics, sampler time series and slowest transactions.
-/// Returns the path written, or "" when opt.no_json is set.
-std::string write_bench_json(const std::string& bench,
-                             const std::string& caption,
-                             const BenchOptions& opt,
-                             const std::vector<BenchRun>& runs,
-                             const std::vector<std::string>& partition_names);
-
-/// Write the Chrome trace of the traced sweep point when --trace was given.
-/// Returns the path written, or "" when tracing was off.
-std::string write_trace_file(const BenchOptions& opt,
-                             const std::vector<BenchRun>& runs);
-
-/// Write the time series of the recorded sweep point when --timeseries was
-/// given: the gemsd.timeseries.v1 document. Returns the path written, or ""
-/// when off or nothing was recorded.
-std::string write_timeseries_file(const std::string& bench,
-                                  const BenchOptions& opt,
-                                  const std::vector<BenchRun>& runs);
-
-/// Write the resource snapshot of the recorded sweep point when --resources
-/// was given: the gemsd.resources.v1 document. Returns the path written, or
-/// "" when off or nothing was recorded.
-std::string write_resources_file(const std::string& bench,
-                                 const BenchOptions& opt,
-                                 const std::vector<BenchRun>& runs);
+/// Write every file a sweep's options ask for, each through obs::write_file:
+///   - the results document ("gemsd.results.v1", validated by
+///     schemas/results.schema.json) unless --no-json: caption, git describe,
+///     bench options, and per run the full config (with fingerprint hash),
+///     headline and detail metrics and the slowest transactions; at
+///     --metrics-json, else results/BENCH_<bench>.json;
+///   - for the traced point: the Chrome trace (--trace=F), the time series
+///     (--timeseries[=F], default results/TIMESERIES_<bench>.json) and the
+///     resource snapshot (--resources[=F], default
+///     results/RESOURCES_<bench>.json). A requested recorder that the run
+///     did not fill only warns.
+/// Returns what was written, in that order. Throws std::runtime_error naming
+/// the path and the OS reason on the first file that cannot be written.
+std::vector<Artifact> write_artifacts(
+    const std::string& bench, const std::string& caption,
+    const BenchOptions& opt, const std::vector<BenchRun>& runs,
+    const std::vector<std::string>& partition_names);
 
 /// One-line config fingerprint for human-readable report headers:
 /// "bench git=<describe> seed=<seed> config=<hash>".
 std::string fingerprint_line(const std::string& bench,
                              const SystemConfig& cfg);
-
-/// Standard tail of a bench harness: write the structured results file and
-/// the optional Chrome trace, then print the fingerprint stamp and the
-/// table (or CSV, where the stamp becomes a "#" comment line).
-void finish_bench(const std::string& bench, const std::string& caption,
-                  const BenchOptions& opt,
-                  const std::vector<SystemConfig>& cfgs,
-                  const std::vector<RunResult>& runs,
-                  const std::vector<std::string>& partition_names);
 
 }  // namespace gemsd

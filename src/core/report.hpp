@@ -82,9 +82,10 @@ struct RunResult {
   };
   std::vector<GemShardStat> gem_shards;
 
-  /// Full observability payload (detail metrics, sampler time series,
-  /// slow-transaction log, trace events). Shared so results stay cheap to
-  /// copy through sweeps; null unless System::collect() produced one.
+  /// Full observability payload (detail metrics, slow-transaction log,
+  /// trace events, time series, resource snapshot). Shared so results stay
+  /// cheap to copy through sweeps; null unless System::collect() produced
+  /// one.
   std::shared_ptr<obs::RunTelemetry> telemetry;
 
   std::string label() const;

@@ -149,10 +149,11 @@ ScenarioPlan build_scenario_plan(const Scenario& sc, const BenchOptions& opt);
 /// results in cell order) and return runs zipped with their configs.
 ScenarioResult run_scenario(const Scenario& sc, const BenchOptions& opt);
 
-/// The single emission path all scenarios share: results JSON + optional
-/// Chrome trace, then per-group CSV or tables (honoring the scenario's
-/// custom table/post hooks and notes). `out_dir` is where BENCH_<name>.json
-/// goes when --metrics-json was not given.
+/// The single emission path all scenarios share: the requested files
+/// (write_artifacts; throws when one cannot be written), then per-group CSV
+/// or tables (honoring the scenario's custom table/post hooks and notes).
+/// `out_dir` is where BENCH_<name>.json goes when --metrics-json was not
+/// given.
 void emit_scenario(const Scenario& sc, const BenchOptions& opt,
                    const ScenarioResult& res, const std::string& out_dir);
 

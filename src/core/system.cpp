@@ -351,96 +351,6 @@ sim::Task<void> System::recovery_process(NodeId n, sim::SimTime crash_time) {
   node_up_[static_cast<std::size_t>(n)] = true;
 }
 
-sim::Task<void> System::sampler() {
-  std::uint64_t prev_commits = 0;
-  double prev_resp_sum = 0.0;
-  std::uint64_t prev_resp_n = 0;
-  sim::SimTime window_start = sched_.now();
-  for (;;) {
-    co_await sched_.delay(cfg_.obs.sample_every);
-    const sim::SimTime now = sched_.now();
-
-    std::uint64_t commits = metrics_.commits.value();
-    if (commits < prev_commits) {
-      // Statistics were reset inside this window (warm-up end): the window
-      // effectively restarts at the reset point.
-      prev_commits = 0;
-      prev_resp_sum = 0.0;
-      prev_resp_n = 0;
-      window_start = stats_start_;
-    }
-    const double resp_sum = metrics_.response.sum();
-    const std::uint64_t resp_n = metrics_.response.count();
-
-    obs::Sample s;
-    s.t = now;
-    s.in_warmup = !stats_reset_;
-    s.commits = commits;
-    s.aborts = metrics_.aborts.value();
-    s.throughput = sim::safe_ratio(
-        static_cast<double>(commits - prev_commits), now - window_start);
-    s.resp_ms = sim::safe_ratio(resp_sum - prev_resp_sum,
-                                static_cast<double>(resp_n - prev_resp_n)) *
-                1e3;
-
-    double active = 0, mplq = 0, busy = 0, procs = 0;
-    for (const auto& tm : tms_) {
-      active += static_cast<double>(tm->active());
-      mplq += static_cast<double>(tm->mpl().queue_length());
-    }
-    for (const auto& c : cpus_) {
-      busy += static_cast<double>(c->resource().busy());
-      procs += static_cast<double>(c->processors());
-    }
-    s.active_txns = active;
-    s.mpl_waiting = mplq;
-    s.cpu_busy = sim::safe_ratio(busy, procs);
-    double gem_busy = 0, gem_cap = 0;
-    for (int sh = 0; sh < storage_->gem_shards(); ++sh) {
-      gem_busy += static_cast<double>(storage_->gem(sh).server().busy());
-      gem_cap += static_cast<double>(storage_->gem(sh).server().capacity());
-    }
-    s.gem_busy = sim::safe_ratio(gem_busy, gem_cap);
-    s.net_busy = static_cast<double>(network_->link().busy());
-    double dq = 0;
-    for (std::size_t p = 0; p < cfg_.partitions.size(); ++p) {
-      if (const auto* g = storage_->group(static_cast<PartitionId>(p))) {
-        dq += static_cast<double>(g->arms().queue_length());
-      }
-    }
-    s.disk_queue = dq;
-    s.sched_queue = static_cast<double>(sched_.queued_events());
-    samples_.push_back(s);
-
-    if (metrics_.trace) {
-      auto* tr = metrics_.trace;
-      using TN = obs::TraceName;
-      tr->counter(TN::kCtrThroughput, -1, now, s.throughput);
-      tr->counter(TN::kCtrResponse, -1, now, s.resp_ms);
-      for (std::size_t n = 0; n < tms_.size(); ++n) {
-        const auto node = static_cast<std::int16_t>(n);
-        tr->counter(TN::kCtrActive, node, now,
-                    static_cast<double>(tms_[n]->active()));
-        tr->counter(TN::kCtrMplQueue, node, now,
-                    static_cast<double>(tms_[n]->mpl().queue_length()));
-        tr->counter(TN::kCtrCpuBusy, node, now,
-                    sim::safe_ratio(
-                        static_cast<double>(cpus_[n]->resource().busy()),
-                        static_cast<double>(cpus_[n]->processors())));
-      }
-      tr->counter(TN::kCtrGemBusy, -1, now, s.gem_busy);
-      tr->counter(TN::kCtrNetBusy, -1, now, s.net_busy);
-      tr->counter(TN::kCtrDiskQueue, -1, now, s.disk_queue);
-      tr->counter(TN::kCtrSchedQueue, -1, now, s.sched_queue);
-    }
-
-    prev_commits = commits;
-    prev_resp_sum = resp_sum;
-    prev_resp_n = resp_n;
-    window_start = now;
-  }
-}
-
 void System::progress_tick() {
   const double now_s = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - progress_epoch_)
@@ -482,7 +392,6 @@ void System::start_source() {
   if (source_started_) return;
   source_started_ = true;
   sched_.spawn(source());
-  if (cfg_.obs.sample_every > 0.0) sched_.spawn(sampler());
 }
 
 void System::reset_stats() {
@@ -502,9 +411,8 @@ void System::reset_stats() {
   protocol_->table().reset_stats();
   if (resrec_) resrec_->reset();
   stats_start_ = sched_.now();
-  stats_reset_ = true;
-  // Warm-up events are discarded like warm-up statistics; the sampler's time
-  // series is kept (convergence toward steady state is what it shows).
+  // Warm-up events are discarded like warm-up statistics; the time series is
+  // kept (convergence toward steady state is what it shows).
   if (trace_) trace_->clear();
   slow_log_.clear();
   if (ts_) {
@@ -631,8 +539,8 @@ RunResult System::collect() const {
 
   // Full telemetry payload: a flat dump of every Metrics field and every
   // Resource's utilization/queue/completion stats (fixed order — the JSON
-  // exporter writes these verbatim), plus sampler series, slow-txn log and
-  // the trace ring. Shared so sweep-level copies of RunResult stay cheap.
+  // exporter writes these verbatim), plus the slow-txn log, the trace ring
+  // and the optional recorders. Shared so sweep-level copies of RunResult stay cheap.
   auto tel = std::make_shared<obs::RunTelemetry>();
   tel->stats_start = stats_start_;
   tel->end = sched_.now();
@@ -789,7 +697,6 @@ RunResult System::collect() const {
         static_cast<double>(run_events_) / run_wall_s_);
   }
 
-  tel->samples = samples_;
   tel->slowest = slow_log_.sorted();
   if (trace_) {
     tel->trace_enabled = true;

@@ -82,11 +82,10 @@ TraceAnalysis analyze_trace(const std::vector<TraceEvent>& events,
                             std::uint64_t dropped);
 
 /// Parse a "gemsd.trace.v1" Chrome trace document back into native events.
-/// Spans, instants, counter samples (the ".node<N>" track suffix is folded
-/// back into the node field) and message flows all round-trip; per-txn phase
-/// args are re-expanded into PhaseTotal records. Only presentation metadata
-/// ("M" records) stays behind. Returns false with `error` set on documents
-/// that are not gemsd traces.
+/// Spans, instants and message flows all round-trip; per-txn phase args are
+/// re-expanded into PhaseTotal records. Presentation metadata ("M" records)
+/// and the counter tracks ("C") of older traces stay behind. Returns false
+/// with `error` set on documents that are not gemsd traces.
 bool parse_chrome_trace(const JsonValue& doc, std::vector<TraceEvent>& out,
                         std::uint64_t& dropped, std::string& error);
 

@@ -1,9 +1,14 @@
 #include "obs/json.hpp"
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 
 namespace gemsd::obs {
 
@@ -399,6 +404,36 @@ bool json_schema_validate(const JsonValue& schema, const JsonValue& doc,
   const std::size_t before = errors.size();
   validate_at(schema, doc, "$", errors);
   return errors.size() == before;
+}
+
+// --- file writer ---
+
+std::string write_file(const std::string& path, const std::string& text) {
+  const std::string failed = "cannot write " + path + ": ";
+  const std::filesystem::path p(path);
+  if (p.has_parent_path()) {
+    std::error_code ec;
+    std::filesystem::create_directories(p.parent_path(), ec);
+    if (ec) return failed + ec.message();
+  }
+  // Renaming over a device, FIFO or symlink would replace the node itself.
+  struct stat st;
+  const bool in_place =
+      ::lstat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode);
+  const std::string target =
+      in_place ? path : path + "." + std::to_string(::getpid()) + ".tmp";
+  std::FILE* f = std::fopen(target.c_str(), "wb");
+  if (!f) return failed + std::strerror(errno);
+  int err = 0;
+  if (std::fwrite(text.data(), 1, text.size(), f) != text.size()) err = errno;
+  if (std::fclose(f) != 0 && err == 0) err = errno;
+  if (err == 0 && !in_place &&
+      std::rename(target.c_str(), path.c_str()) != 0) {
+    err = errno;
+  }
+  if (err == 0) return "";
+  if (!in_place) std::remove(target.c_str());
+  return failed + std::strerror(err);
 }
 
 }  // namespace gemsd::obs

@@ -90,4 +90,14 @@ bool json_parse(const std::string& text, JsonValue& out, std::string& error);
 bool json_schema_validate(const JsonValue& schema, const JsonValue& doc,
                           std::vector<std::string>& errors);
 
+/// The one way the tools write a file. Creates the parent directories,
+/// writes `<path>.<pid>.tmp` beside the target, checks the stream after
+/// close, then renames the temp file over `path`, so concurrent writers and
+/// readers never see a torn file (no fsync: this is about atomicity, not
+/// crash durability). A target that exists and is not a regular file (a
+/// device such as /dev/stdout, a FIFO, a symlink) is written in place and
+/// never renamed over. Returns "" on success, else "cannot write <path>:
+/// <OS reason>"; a failed write leaves no temp file behind.
+std::string write_file(const std::string& path, const std::string& text);
+
 }  // namespace gemsd::obs

@@ -15,25 +15,6 @@ namespace gemsd::obs {
 struct TsSeries;
 struct ResourceSet;
 
-/// One periodic-sampler observation (taken every ObsConfig::sample_every
-/// simulated seconds, from t=0 — warm-up included, so convergence is
-/// visible). Window quantities cover the interval since the previous sample.
-struct Sample {
-  sim::SimTime t = 0.0;
-  double throughput = 0.0;      ///< commits/s in the window (whole cluster)
-  double resp_ms = 0.0;         ///< mean response [ms] over the window
-  std::uint64_t commits = 0;    ///< cumulative since last stats reset
-  std::uint64_t aborts = 0;
-  double active_txns = 0.0;     ///< admitted past the MPL gate, all nodes
-  double mpl_waiting = 0.0;     ///< waiting for an MPL slot, all nodes
-  double cpu_busy = 0.0;        ///< busy processors / processors (instant)
-  double gem_busy = 0.0;        ///< busy GEM servers / servers (instant)
-  double net_busy = 0.0;        ///< network link busy (instant, 0/1)
-  double disk_queue = 0.0;      ///< pages queued at DB disk arms (instant)
-  double sched_queue = 0.0;     ///< scheduler events pending (instant)
-  bool in_warmup = false;       ///< taken before the measurement interval
-};
-
 /// Phase breakdown of one (slow) transaction, recorded at commit.
 struct SlowTxn {
   std::uint64_t id = 0;
@@ -104,7 +85,6 @@ struct RunTelemetry {
   /// metrics exporter writes these under "detail").
   std::vector<std::pair<std::string, double>> detail;
 
-  std::vector<Sample> samples;   ///< periodic sampler (from t=0)
   std::vector<SlowTxn> slowest;  ///< top-K by response, slowest first
 
   bool trace_enabled = false;

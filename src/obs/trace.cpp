@@ -35,15 +35,6 @@ const char* to_string(TraceName n) {
     case TraceName::kPhaseIo: return "phase.io";
     case TraceName::kPhaseCc: return "phase.cc";
     case TraceName::kPhaseQueue: return "phase.queue";
-    case TraceName::kCtrThroughput: return "throughput";
-    case TraceName::kCtrResponse: return "response_ms";
-    case TraceName::kCtrActive: return "active_txns";
-    case TraceName::kCtrMplQueue: return "mpl_queue";
-    case TraceName::kCtrCpuBusy: return "cpu_busy";
-    case TraceName::kCtrGemBusy: return "gem_busy";
-    case TraceName::kCtrNetBusy: return "net_busy";
-    case TraceName::kCtrDiskQueue: return "disk_queue";
-    case TraceName::kCtrSchedQueue: return "sched_queue";
     case TraceName::kCount: break;
   }
   return "?";
@@ -73,7 +64,7 @@ const char* category(TraceName n) {
     case TraceName::kMsgRecv:
       return "net";
     default:
-      return "sampler";
+      return "txn";  // phase totals: exported inside the txn span's args
   }
 }
 
@@ -178,8 +169,8 @@ std::string chrome_trace_json(
   w.key("traceEvents");
   w.begin_array();
 
-  // Process/thread naming: pid 0 is the cluster (counter tracks), pid n+1 is
-  // node n; lane 0 of each node holds background work.
+  // Process/thread naming: pid 0 is the cluster (events without a node), pid
+  // n+1 is node n; lane 0 of each node holds background work.
   w.begin_object();
   w.kv("ph", "M");
   w.kv("name", "process_name");
@@ -290,27 +281,6 @@ std::string chrome_trace_json(
           w.end_object();
         }
         w.kv("s", "t");
-        w.end_object();
-        break;
-      }
-      case TraceKind::Counter: {
-        std::string name = to_string(e.name);
-        if (e.node >= 0) name += ".node" + std::to_string(e.node);
-        w.begin_object();
-        w.kv("name", name);
-        w.kv("cat", "sampler");
-        w.kv("ph", "C");
-        w.key("pid");
-        w.value(std::int64_t{0});
-        w.key("tid");
-        w.value(std::int64_t{0});
-        w.key("ts");
-        w.value(e.t * 1e6);
-        w.key("args");
-        w.begin_object();
-        w.key("value");
-        w.value(e.value);
-        w.end_object();
         w.end_object();
         break;
       }

@@ -20,9 +20,9 @@
 
 namespace gemsd::obs {
 
-/// Event taxonomy. Span/instant names, per-transaction phase totals, and the
-/// sampler's counter tracks share one 8-bit id space (docs/observability.md
-/// documents the mapping to Chrome trace categories).
+/// Event taxonomy. Span/instant names and per-transaction phase totals share
+/// one 8-bit id space (docs/observability.md documents the mapping to Chrome
+/// trace categories).
 enum class TraceName : std::uint8_t {
   // spans / instants (transaction- or device-scoped)
   kTxn,          ///< whole transaction lifecycle (arrival -> commit)
@@ -53,22 +53,11 @@ enum class TraceName : std::uint8_t {
   kPhaseIo,
   kPhaseCc,
   kPhaseQueue,
-  // sampler counter tracks
-  kCtrThroughput,  ///< committed txns/s in the last sample window
-  kCtrResponse,    ///< mean response [ms] over the last sample window
-  kCtrActive,      ///< transactions admitted past the MPL gate (per node)
-  kCtrMplQueue,    ///< transactions waiting for an MPL slot (per node)
-  kCtrCpuBusy,     ///< busy processors / processors (per node)
-  kCtrGemBusy,     ///< busy GEM servers / servers
-  kCtrNetBusy,     ///< network link busy (0/1)
-  kCtrDiskQueue,   ///< pages queued for DB disk arms (all partitions)
-  kCtrSchedQueue,  ///< events pending in the simulation scheduler
   kCount
 };
 
 const char* to_string(TraceName n);
-/// Chrome trace "cat" field for the event name ("txn", "cc", "io", "net",
-/// "sampler").
+/// Chrome trace "cat" field for the event name ("txn", "cc", "io", "net").
 const char* category(TraceName n);
 
 /// Per-name enable mask for --trace-filter: true where `pattern` (an ECMAScript
@@ -81,7 +70,6 @@ trace_name_filter(const std::string& pattern);
 enum class TraceKind : std::uint8_t {
   Span,        ///< t = start, dur = duration
   Instant,     ///< t = time
-  Counter,     ///< t = time, value = sample
   FlowBegin,   ///< message leaves `node` (id = flow id)
   FlowEnd,     ///< message arrives at `node`
   PhaseTotal,  ///< per-txn phase aggregate, value = seconds
@@ -93,7 +81,7 @@ enum class TraceKind : std::uint8_t {
 struct TraceEvent {
   sim::SimTime t = 0.0;    ///< start (spans) or event time, simulated seconds
   double dur = 0.0;        ///< span duration (seconds)
-  double value = 0.0;      ///< counter sample / phase seconds / aux payload
+  double value = 0.0;      ///< phase seconds / aux payload
   std::uint64_t id = 0;    ///< transaction id, flow id, or 0
   TraceName name = TraceName::kTxn;
   TraceKind kind = TraceKind::Span;
@@ -149,9 +137,6 @@ class TraceRecorder {
   void instant(TraceName n, std::int16_t node, std::uint64_t id, sim::SimTime t,
                double value = 0.0, std::int32_t aux = 0) {
     record(TraceEvent{t, 0.0, value, id, n, TraceKind::Instant, node, aux});
-  }
-  void counter(TraceName n, std::int16_t node, sim::SimTime t, double value) {
-    record(TraceEvent{t, 0.0, value, 0, n, TraceKind::Counter, node, 0});
   }
   void flow(TraceKind kind, std::int16_t node, std::uint64_t flow_id,
             sim::SimTime t, bool long_msg) {

@@ -1,8 +1,7 @@
 // Telemetry layer: JSON writer/parser/schema validator, the trace recorder
 // ring, Chrome trace-event export (golden bytes), config fingerprints, and —
 // the properties the whole subsystem is built around — observation does not
-// perturb the simulation, and traces/samples are bit-identical at any --jobs
-// value.
+// perturb the simulation, and traces are bit-identical at any --jobs value.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -191,7 +190,6 @@ TEST(ChromeTrace, GoldenSnippet) {
   rec.phase_total(obs::TraceName::kPhaseCpu, 0, 3, 1.05, 0.010);
   rec.phase_total(obs::TraceName::kPhaseIo, 0, 3, 1.05, 0.030);
   rec.instant(obs::TraceName::kCommit, 0, 3, 1.05);
-  rec.counter(obs::TraceName::kCtrThroughput, -1, 1.5, 123.5);
   rec.flow(obs::TraceKind::FlowBegin, 0, 7, 1.01, false);
   rec.flow(obs::TraceKind::FlowEnd, 1, 7, 1.02, false);
   tel.events = rec.snapshot();
@@ -219,8 +217,6 @@ TEST(ChromeTrace, GoldenSnippet) {
       "\"cc_ms\":0,\"mpl_wait_ms\":0,\"restarts\":0,\"type\":2}},"
       "{\"name\":\"commit\",\"cat\":\"txn\",\"ph\":\"i\",\"pid\":1,"
       "\"tid\":4,\"ts\":1050000,\"args\":{\"id\":3},\"s\":\"t\"},"
-      "{\"name\":\"throughput\",\"cat\":\"sampler\",\"ph\":\"C\",\"pid\":0,"
-      "\"tid\":0,\"ts\":1500000,\"args\":{\"value\":123.5}},"
       "{\"name\":\"msg\",\"cat\":\"net\",\"ph\":\"s\",\"pid\":1,\"tid\":0,"
       "\"ts\":1010000,\"id\":7},"
       "{\"name\":\"msg\",\"cat\":\"net\",\"ph\":\"f\",\"pid\":2,\"tid\":0,"
@@ -273,7 +269,6 @@ TEST(Observation, DisabledRunRecordsNoEvents) {
   EXPECT_FALSE(r.telemetry->trace_enabled);
   EXPECT_TRUE(r.telemetry->events.empty());
   EXPECT_EQ(r.telemetry->events_dropped, 0u);
-  EXPECT_TRUE(r.telemetry->samples.empty());
   EXPECT_TRUE(r.telemetry->slowest.empty());
   // The detail dump is always collected.
   EXPECT_FALSE(r.telemetry->detail.empty());
@@ -284,7 +279,6 @@ TEST(Observation, DoesNotPerturbTheSimulation) {
   SystemConfig observed = plain;
   observed.obs.trace = true;
   observed.obs.trace_capacity = 1 << 16;
-  observed.obs.sample_every = 0.25;
   observed.obs.slow_k = 5;
 
   const RunResult a = run_debit_credit(plain);
@@ -299,7 +293,6 @@ TEST(Observation, DoesNotPerturbTheSimulation) {
   ASSERT_TRUE(b.telemetry);
   EXPECT_TRUE(b.telemetry->trace_enabled);
   EXPECT_FALSE(b.telemetry->events.empty());
-  EXPECT_FALSE(b.telemetry->samples.empty());
   EXPECT_FALSE(b.telemetry->slowest.empty());
 }
 
@@ -344,24 +337,6 @@ TEST(Observation, DetailCarriesSchedulerCounters) {
   EXPECT_GT(wall, 0);
 }
 
-TEST(Observation, SamplerCoversWarmupAndMeasurement) {
-  SystemConfig cfg = quick_config();
-  cfg.obs.sample_every = 0.5;
-  const RunResult r = run_debit_credit(cfg);
-  ASSERT_TRUE(r.telemetry);
-  const auto& samples = r.telemetry->samples;
-  ASSERT_GT(samples.size(), 4u);
-  bool saw_warmup = false, saw_measure = false;
-  double prev_t = 0.0;
-  for (const auto& s : samples) {
-    EXPECT_GT(s.t, prev_t);
-    prev_t = s.t;
-    (s.in_warmup ? saw_warmup : saw_measure) = true;
-  }
-  EXPECT_TRUE(saw_warmup);
-  EXPECT_TRUE(saw_measure);
-}
-
 TEST(Observation, TraceIsBitIdenticalAtAnyJobCount) {
   std::vector<SystemConfig> cfgs;
   for (int n : {1, 2, 3}) {
@@ -372,7 +347,6 @@ TEST(Observation, TraceIsBitIdenticalAtAnyJobCount) {
   }
   cfgs[1].obs.trace = true;
   cfgs[1].obs.trace_capacity = 1 << 16;
-  cfgs[1].obs.sample_every = 0.5;
   cfgs[1].obs.slow_k = 5;
 
   const std::vector<RunResult> serial = SweepRunner(1).run_debit_credit(cfgs);
@@ -390,14 +364,13 @@ TEST(Observation, TraceIsBitIdenticalAtAnyJobCount) {
   EXPECT_EQ(trace_serial, trace_parallel);
   EXPECT_FALSE(serial[1].telemetry->events.empty());
 
-  // Sampler and detail dumps are part of the same guarantee.
-  ASSERT_EQ(serial[1].telemetry->samples.size(),
-            parallel[1].telemetry->samples.size());
-  for (std::size_t i = 0; i < serial[1].telemetry->samples.size(); ++i) {
-    EXPECT_EQ(serial[1].telemetry->samples[i].throughput,
-              parallel[1].telemetry->samples[i].throughput);
-    EXPECT_EQ(serial[1].telemetry->samples[i].resp_ms,
-              parallel[1].telemetry->samples[i].resp_ms);
+  // The slow-transaction log is part of the same guarantee.
+  const auto& slow_serial = serial[1].telemetry->slowest;
+  const auto& slow_parallel = parallel[1].telemetry->slowest;
+  ASSERT_EQ(slow_serial.size(), slow_parallel.size());
+  for (std::size_t i = 0; i < slow_serial.size(); ++i) {
+    EXPECT_EQ(slow_serial[i].id, slow_parallel[i].id);
+    EXPECT_EQ(slow_serial[i].response, slow_parallel[i].response);
   }
 }
 

@@ -35,7 +35,7 @@ TEST(BenchArgs, ParsesEveryKnownFlag) {
   BenchOptions o;
   const std::string err = try_parse_bench_args(
       {"--quick", "--max-nodes=3", "--jobs=2", "--seed=7", "--csv",
-       "--full", "--sample=0.5", "--slow-k=3", "--metrics-json=x.json",
+       "--full", "--slow-k=3", "--metrics-json=x.json",
        "--trace=t.json", "--trace-run=1", "--trace-capacity=1024",
        "--audit", "--no-json", "--warmup=1.5", "--measure=4"},
       o);
@@ -49,7 +49,6 @@ TEST(BenchArgs, ParsesEveryKnownFlag) {
   EXPECT_TRUE(o.no_json);
   EXPECT_DOUBLE_EQ(o.warmup, 1.5);
   EXPECT_DOUBLE_EQ(o.measure, 4.0);
-  EXPECT_DOUBLE_EQ(o.sample_every, 0.5);
   EXPECT_EQ(o.slow_k, 3);
   EXPECT_EQ(o.metrics_json, "x.json");
   EXPECT_EQ(o.trace_file, "t.json");
@@ -57,9 +56,12 @@ TEST(BenchArgs, ParsesEveryKnownFlag) {
 }
 
 TEST(BenchArgs, RejectsUnknownFlag) {
-  BenchOptions o;
-  const std::string err = try_parse_bench_args({"--quikc"}, o);
-  EXPECT_NE(err.find("--quikc"), std::string::npos) << err;
+  // --sample was retired with the periodic sampler.
+  for (const char* a : {"--quikc", "--sample=1"}) {
+    BenchOptions o;
+    const std::string err = try_parse_bench_args({a}, o);
+    EXPECT_NE(err.find(a), std::string::npos) << err;
+  }
 }
 
 TEST(BenchArgs, RejectsSpaceSeparatedValue) {
@@ -73,6 +75,9 @@ TEST(BenchArgs, RejectsMalformedValue) {
   BenchOptions o;
   EXPECT_NE(try_parse_bench_args({"--jobs=two"}, o), "");
   EXPECT_NE(try_parse_bench_args({"--measure=fast"}, o), "");
+  // Out of int range or not a number: rejected before the int conversion.
+  EXPECT_NE(try_parse_bench_args({"--jobs=1e20"}, o), "");
+  EXPECT_NE(try_parse_bench_args({"--jobs=nan"}, o), "");
 }
 
 TEST(BenchArgs, RejectsNonFiniteOrNegativeHorizon) {
@@ -93,7 +98,7 @@ TEST(BenchArgs, UsageListsEveryFlag) {
   const std::string u = bench_usage();
   for (const char* flag :
        {"--quick", "--measure=", "--warmup=", "--max-nodes=", "--jobs=",
-        "--seed=", "--full", "--csv", "--sample=", "--slow-k=",
+        "--seed=", "--full", "--csv", "--slow-k=",
         "--metrics-json=", "--no-json", "--trace=", "--trace-run=",
         "--trace-capacity=", "--audit"}) {
     EXPECT_NE(u.find(flag), std::string::npos) << flag;

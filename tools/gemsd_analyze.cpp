@@ -52,14 +52,21 @@
 //       first; a violation, or measured throughput above X_max (impossible
 //       on a document the simulator wrote), exits 1 — the CI capacity gate.
 //
-// Exit codes: 0 clean, 1 regression / failed cross-check, 2 bad input.
+// Numeric flags are parsed strictly: a malformed or out-of-range value
+// (--tolerance finite and >= 0, --top >= 1, --run >= 0, --memory-budget
+// finite and > 0) exits 2 with the usage text. --csv=FILE and
+// --critical-path=FILE go to a temp file renamed into place.
+//
+// Exit codes: 0 clean, 1 regression / failed cross-check, 2 bad input or a
+// file that cannot be written.
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "core/experiment.hpp"
 #include "obs/analyze.hpp"
 #include "obs/critpath.hpp"
 #include "obs/json.hpp"
@@ -81,6 +88,17 @@ bool load_json(const std::string& path, gemsd::obs::JsonValue& out) {
     std::fprintf(stderr, "error: %s: %s\n", path.c_str(), error.c_str());
     return false;
   }
+  return true;
+}
+
+/// obs::write_file plus the report line: "wrote PATH", or the error.
+bool write_reported(const std::string& path, const std::string& text) {
+  const std::string err = gemsd::obs::write_file(path, text);
+  if (!err.empty()) {
+    std::fprintf(stderr, "error: %s\n", err.c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", path.c_str());
   return true;
 }
 
@@ -162,6 +180,7 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
+    bool num_ok = true;
     if (std::strcmp(a, "--compare") == 0) {
       compare = true;
     } else if (std::strcmp(a, "--timeseries") == 0) {
@@ -172,11 +191,8 @@ int main(int argc, char** argv) {
       bottleneck = true;
       trace_path = a + 13;
     } else if (std::strncmp(a, "--memory-budget=", 16) == 0) {
-      memory_budget = std::atof(a + 16);
-      if (memory_budget <= 0.0) {
-        std::fprintf(stderr, "error: bad --memory-budget value\n");
-        return usage();
-      }
+      num_ok = to_double(a + 16, memory_budget) &&
+               std::isfinite(memory_budget) && memory_budget > 0.0;
     } else if (std::strncmp(a, "--csv=", 6) == 0) {
       csv_file = a + 6;
     } else if (std::strcmp(a, "--critical-path") == 0) {
@@ -187,11 +203,12 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(a, "--results=", 10) == 0) {
       results_path = a + 10;
     } else if (std::strncmp(a, "--run=", 6) == 0) {
-      run_index = std::atoi(a + 6);
+      num_ok = to_int(a + 6, run_index) && run_index >= 0;
     } else if (std::strncmp(a, "--top=", 6) == 0) {
-      top_k = std::atoi(a + 6);
+      num_ok = to_int(a + 6, top_k) && top_k >= 1;
     } else if (std::strncmp(a, "--tolerance=", 12) == 0) {
-      tolerance = std::atof(a + 12);
+      num_ok = to_double(a + 12, tolerance) && std::isfinite(tolerance) &&
+               tolerance >= 0.0;
     } else if (a[0] == '-') {
       std::fprintf(stderr, "error: unknown option %s\n", a);
       return usage();
@@ -202,6 +219,10 @@ int main(int argc, char** argv) {
     } else if (!compare && trace_path.empty()) {
       trace_path = a;
     } else {
+      return usage();
+    }
+    if (!num_ok) {
+      std::fprintf(stderr, "error: malformed value in '%s'\n", a);
       return usage();
     }
   }
@@ -261,14 +282,9 @@ int main(int argc, char** argv) {
     }
     const obs::TsReport rep = obs::analyze_timeseries(s);
     std::fputs(obs::format_ts_report(s, rep).c_str(), stdout);
-    if (!csv_file.empty()) {
-      std::ofstream out(csv_file, std::ios::binary);
-      if (!out) {
-        std::fprintf(stderr, "error: cannot write %s\n", csv_file.c_str());
-        return 2;
-      }
-      out << obs::timeseries_csv(s);
-      std::printf("wrote %s\n", csv_file.c_str());
+    if (!csv_file.empty() &&
+        !write_reported(csv_file, obs::timeseries_csv(s))) {
+      return 2;
     }
     // A too-short warm-up cut is a warning (the headline numbers are
     // biased, not wrong); a drifting measurement interval fails the run —
@@ -295,15 +311,9 @@ int main(int argc, char** argv) {
   if (critpath) {
     const obs::CritPathAnalysis cp = obs::critical_path(events, dropped);
     std::fputs(obs::format_critical_path(cp, top_k).c_str(), stdout);
-    if (!critpath_file.empty()) {
-      std::ofstream out(critpath_file, std::ios::binary);
-      if (!out) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     critpath_file.c_str());
-        return 2;
-      }
-      out << obs::critical_path_json(cp) << "\n";
-      std::printf("wrote %s\n", critpath_file.c_str());
+    if (!critpath_file.empty() &&
+        !write_reported(critpath_file, obs::critical_path_json(cp) + "\n")) {
+      return 2;
     }
     // On a complete trace the per-class seconds must reconcile with the
     // traced response for (essentially) every transaction; with ring drops
@@ -332,8 +342,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: %s: no runs\n", results_path.c_str());
       return 2;
     }
-    const auto idx = static_cast<std::size_t>(run_index < 0 ? 0 : run_index) %
-                     runs->arr.size();
+    const auto idx = static_cast<std::size_t>(run_index) % runs->arr.size();
     const obs::JsonValue* metrics = runs->arr[idx].find("metrics");
     if (!metrics) {
       std::fprintf(stderr, "error: %s: run %zu has no metrics\n",

@@ -10,23 +10,27 @@
 //
 // Bench flags are the shared set every retired bench_* main took (--quick,
 // --measure=, --warmup=, --max-nodes=, --jobs=, --seed=, --full, --csv,
-// --sample=, --slow-k=, --metrics-json=, --no-json, --trace=, --trace-run=,
-// --trace-capacity=, --audit). Output is unchanged: the same tables/CSV on
-// stdout and the same gemsd.results.v1 JSON (BENCH_<name>.json, to
-// --out-dir=DIR when given, else the working directory).
+// --slow-k=, --metrics-json=, --no-json, --trace=, --trace-run=,
+// --trace-capacity=, --audit, ...; see bench_usage()). Output: tables/CSV on
+// stdout and the gemsd.results.v1 JSON (BENCH_<name>.json, to --out-dir=DIR
+// when given, else results/).
 //
 // --export-spec writes one specs/<name>.ini per exportable scenario in the
 // selection; gemsd_run executes those to bit-identical metrics (the export
 // self-verifies the round trip and fails loudly on drift).
+//
+// Every file is written to a temp file and renamed into place. Exit codes:
+// 0 success, 1 a failed run, export or file write, 2 bad flags or
+// selection.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <regex>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
 #include "core/scenario.hpp"
+#include "obs/json.hpp"
 
 namespace {
 
@@ -144,10 +148,8 @@ int main(int argc, char** argv) {
         return 1;
       }
       const std::string path = export_dir + "/" + sc->name + ".ini";
-      std::ofstream out(path);
-      out << text;
-      if (!out) {
-        std::fprintf(stderr, "gemsd_bench: cannot write %s\n", path.c_str());
+      if (const std::string err = obs::write_file(path, text); !err.empty()) {
+        std::fprintf(stderr, "gemsd_bench: %s\n", err.c_str());
         return 1;
       }
       std::printf("wrote %s\n", path.c_str());

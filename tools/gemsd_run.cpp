@@ -3,7 +3,7 @@
 //
 //   ./gemsd_run spec.ini [more-specs.ini ...] [--csv] [--full] [--jobs=N]
 //              [--metrics-json=FILE] [--trace=FILE] [--trace-run=I]
-//              [--trace-filter=RE] [--sample=S] [--slow-k=K] [--audit]
+//              [--trace-filter=RE] [--slow-k=K] [--audit]
 //              [--progress[=SECS]] [--timeseries[=FILE]]
 //              [--timeseries-window=S] [--resources[=FILE]]
 //
@@ -12,8 +12,9 @@
 // specs/*.ini). All runs from all files execute as one sweep on a worker
 // pool (--jobs=N, default hardware_concurrency); results print in spec
 // order. --metrics-json writes the structured results report (all metrics,
-// telemetry samples, slowest transactions); --trace writes a Chrome
-// trace-event file for one of the runs (pick with --trace-run).
+// slowest transactions); --trace writes a Chrome trace-event file for one of
+// the runs (pick with --trace-run). Every file is written to a temp file and
+// renamed into place; one that cannot be written fails the run (exit 1).
 //
 // Flags go through the same strict parser as gemsd_bench: an unknown flag or
 // a malformed value exits 2 with the usage text. The spec owns the horizon,
@@ -40,8 +41,8 @@ void usage() {
                "\n"
                "The spec sets warm-up, measurement, nodes and seed, so\n"
                "--quick, --measure, --warmup, --max-nodes and --seed are\n"
-               "rejected. Flags (run defaults: --sample=0 --slow-k=0, JSON\n"
-               "only with --metrics-json):\n%s",
+               "rejected. Flags (run default --slow-k=0, JSON only with\n"
+               "--metrics-json):\n%s",
                gemsd::bench_usage().c_str());
 }
 
@@ -50,7 +51,6 @@ void usage() {
 int main(int argc, char** argv) {
   using namespace gemsd;
   BenchOptions opt;
-  opt.sample_every = 0.0;
   opt.slow_k = 0;
   std::vector<std::string> spec_files, flags;
   for (int i = 1; i < argc; ++i) {
@@ -182,23 +182,20 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (!opt.no_json || !opt.trace_file.empty() || opt.timeseries ||
-      opt.resources) {
-    std::vector<BenchRun> bruns(results.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      bruns[i].config = cfgs[i];
-      bruns[i].result = results[i].r;
-    }
-    std::string caption = "gemsd_run:";
-    for (const std::string& f : spec_files) caption += " " + f;
-    if (!opt.no_json) {
-      write_bench_json("run", caption, opt, bruns,
-                       results.empty() ? std::vector<std::string>{}
-                                       : results.front().names);
-    }
-    write_trace_file(opt, bruns);
-    write_timeseries_file("run", opt, bruns);
-    write_resources_file("run", opt, bruns);
+  std::vector<BenchRun> bruns(results.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    bruns[i].config = cfgs[i];
+    bruns[i].result = results[i].r;
+  }
+  std::string caption = "gemsd_run:";
+  for (const std::string& f : spec_files) caption += " " + f;
+  try {
+    write_artifacts("run", caption, opt, bruns,
+                    results.empty() ? std::vector<std::string>{}
+                                    : results.front().names);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
   }
 
   for (std::size_t i = 0; i < results.size(); ++i) {
