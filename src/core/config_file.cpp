@@ -229,6 +229,9 @@ const KeyDef kSystemKeys[] = {
     {"log_disks",
      [](SystemConfig& c, const std::string& v, int l) {
        c.log_disks_per_node = parse_int(v, l);
+       if (c.log_disks_per_node < 1) {
+         fail(l, "log_disks must be >= 1, got '" + v + "'");
+       }
      },
      [](const SystemConfig& c) { return fmt_int(c.log_disks_per_node); }},
     {"group_commit",
@@ -336,18 +339,13 @@ void apply_one(SystemConfig& cfg, const std::string& key,
   fail(line, "unknown [system] key '" + key + "'");
 }
 
-struct RawKey {
-  std::string key, val;
-  int line;
-};
-
 }  // namespace
 
 SpecDoc parse_spec_doc(std::istream& in) {
   SpecDoc doc;
   RunSpec proto;  // workload settings shared by every run
-  std::vector<RawKey> base;
-  std::vector<std::vector<RawKey>> run_keys;  // one per [run] section
+  SpecKeyValues base;
+  std::vector<SpecKeyValues> run_keys;  // one per [run] section
 
   std::string section;
   std::string line_s;
@@ -393,7 +391,9 @@ SpecDoc parse_spec_doc(std::istream& in) {
       } else if (lkey == "trace_file") {
         proto.trace_file = val;
       } else if (lkey == "trace_txns") {
-        proto.trace_txns = static_cast<std::size_t>(parse_i64(val, line));
+        const std::int64_t txns = parse_i64(val, line);
+        if (txns < 1) fail(line, "trace_txns must be >= 1, got '" + val + "'");
+        proto.trace_txns = static_cast<std::size_t>(txns);
       } else {
         fail(line, "unknown [workload] key '" + key + "'");
       }
@@ -426,21 +426,18 @@ SpecDoc parse_spec_doc(std::istream& in) {
   for (const auto& extra : run_keys) {
     RunSpec spec = proto;
     spec.cfg = make_debit_credit_config();
-    for (const std::vector<RawKey>* keys :
-         {static_cast<const std::vector<RawKey>*>(&base), &extra}) {
-      for (const RawKey& rk : *keys) {
-        // Trace runs rebuild their partitions from the trace later; their
-        // partition keys cannot be validated against the debit-credit
-        // schema, so application is deferred to apply_spec_keys.
-        if (spec.kind == RunSpec::Kind::Trace &&
-            rk.key.find('.') != std::string::npos) {
-          continue;
-        }
-        apply_one(spec.cfg, rk.key, rk.val, rk.line);
+    spec.keys = base;
+    spec.keys.insert(spec.keys.end(), extra.begin(), extra.end());
+    for (const SpecKey& k : spec.keys) {
+      // Trace runs rebuild their partitions from the trace later; their
+      // partition keys cannot be validated against the debit-credit
+      // schema, so application is deferred to apply_spec_keys.
+      if (spec.kind == RunSpec::Kind::Trace &&
+          k.key.find('.') != std::string::npos) {
+        continue;
       }
+      apply_one(spec.cfg, k.key, k.value, k.line);
     }
-    for (const RawKey& rk : base) spec.keys.push_back({rk.key, rk.val});
-    for (const RawKey& rk : extra) spec.keys.push_back({rk.key, rk.val});
     doc.runs.push_back(std::move(spec));
   }
   return doc;
@@ -469,10 +466,7 @@ RunSpec parse_run_spec_file(const std::string& path) {
 }
 
 void apply_spec_keys(SystemConfig& cfg, const SpecKeyValues& keys) {
-  int line = 0;
-  for (const auto& [key, val] : keys) {
-    apply_one(cfg, key, val, ++line);
-  }
+  for (const SpecKey& k : keys) apply_one(cfg, k.key, k.value, k.line);
 }
 
 SpecKeyValues spec_keys(const SystemConfig& cfg) {

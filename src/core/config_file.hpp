@@ -2,17 +2,20 @@
 
 #include <iosfwd>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
 
 namespace gemsd {
 
-/// Raw `key = value` pairs in spec syntax: the scalar `[system]` keys plus
-/// the flat per-partition forms (`storage.<name>`, `cache_pages.<name>`,
+/// One raw `key = value` pair in spec syntax: a scalar `[system]` key or a
+/// flat per-partition form (`storage.<name>`, `cache_pages.<name>`,
 /// `disk_cache_pages.<name>`, `gem_cache_pages.<name>`).
-using SpecKeyValues = std::vector<std::pair<std::string, std::string>>;
+struct SpecKey {
+  std::string key, value;
+  int line = 0;  ///< spec file line it came from; 0 when generated
+};
+using SpecKeyValues = std::vector<SpecKey>;
 
 /// A complete experiment specification parsed from a small INI-style file —
 /// the no-C++-required entry point (tools/gemsd_run):
@@ -102,8 +105,9 @@ RunSpec parse_run_spec(std::istream& in);
 RunSpec parse_run_spec_file(const std::string& path);
 
 /// Apply raw spec keys onto an existing config; throws on unknown keys,
-/// malformed values, or partition names the config does not have. Used to
-/// rebuild trace-run configs and by the spec exporter's round-trip check.
+/// malformed values, or partition names the config does not have, naming
+/// the key's line. Used to rebuild trace-run configs and by the spec
+/// exporter's round-trip check.
 void apply_spec_keys(SystemConfig& cfg, const SpecKeyValues& keys);
 
 /// Serialize every supported spec key of `cfg`, formatted so that

@@ -166,7 +166,6 @@ ScenarioPlan build_scenario_plan(const Scenario& sc, const BenchOptions& opt) {
       if (eff[d].nodes[k] >= 0) cell.cfg.nodes = eff[d].nodes[k];
       if (dv.apply) dv.apply(cell.cfg);
       cell.value_idx.push_back(eff[d].idx[k]);
-      cell.params.push_back(dv.param);
       for (const auto& e : dv.extra) cell.extra.push_back(e);
       if (!eff[d].labels[k].empty()) {
         if (!cell.label.empty()) cell.label += " ";
@@ -229,7 +228,7 @@ ScenarioResult run_scenario(const Scenario& sc, const BenchOptions& opt) {
       b.config = cfg;
       b.extra = cell.extra;
       if (sc.cell) {
-        sc.cell(cfg, cell, b);
+        sc.cell(cfg, b);
       } else if (sc.workload == Scenario::WorkloadKind::Trace) {
         System sys(cfg, make_trace_workload(cfg, *plan.trace));
         b.result = sys.run();
@@ -307,7 +306,6 @@ void emit_scenario(const Scenario& sc, const BenchOptions& opt,
   for (const Artifact& a : written) {
     std::printf("%s: %s\n", a.label.c_str(), a.path.c_str());
   }
-  if (sc.post) sc.post(res, opt);
   if (!sc.note.empty()) std::printf("\n%s\n", sc.note.c_str());
 }
 
@@ -326,21 +324,22 @@ std::string export_scenario_spec(const Scenario& sc, const BenchOptions& opt) {
   std::vector<std::map<std::string, std::string>> maps;
   for (const ScenarioCell& c : plan.cells) {
     kvs.push_back(spec_keys(c.cfg));
-    maps.emplace_back(kvs.back().begin(), kvs.back().end());
+    auto& m = maps.emplace_back();
+    for (const SpecKey& k : kvs.back()) m.emplace(k.key, k.value);
   }
   // A key is shared iff every run carries it with the same value; shared
   // keys form the [system] base, the rest go into each [run].
   std::map<std::string, bool> shared;
-  for (const auto& [k, v] : kvs.front()) {
+  for (const SpecKey& k : kvs.front()) {
     bool same = true;
     for (const auto& m : maps) {
-      const auto it = m.find(k);
-      if (it == m.end() || it->second != v) {
+      const auto it = m.find(k.key);
+      if (it == m.end() || it->second != k.value) {
         same = false;
         break;
       }
     }
-    shared[k] = same;
+    shared[k.key] = same;
   }
 
   std::ostringstream out;
@@ -358,8 +357,8 @@ std::string export_scenario_spec(const Scenario& sc, const BenchOptions& opt) {
     out << "trace_txns = " << sc.trace_txns << "\n";
   }
   out << "\n[system]\n";
-  for (const auto& [k, v] : kvs.front()) {
-    if (shared[k]) out << k << " = " << v << "\n";
+  for (const SpecKey& k : kvs.front()) {
+    if (shared[k.key]) out << k.key << " = " << k.value << "\n";
   }
   for (std::size_t i = 0; i < plan.cells.size(); ++i) {
     out << "\n";
@@ -367,10 +366,10 @@ std::string export_scenario_spec(const Scenario& sc, const BenchOptions& opt) {
       out << "# run: " << plan.cells[i].label << "\n";
     }
     out << "[run]\n";
-    for (const auto& [k, v] : kvs[i]) {
-      const auto it = shared.find(k);
+    for (const SpecKey& k : kvs[i]) {
+      const auto it = shared.find(k.key);
       if (it != shared.end() && it->second) continue;
-      out << k << " = " << v << "\n";
+      out << k.key << " = " << k.value << "\n";
     }
   }
 

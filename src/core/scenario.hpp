@@ -13,15 +13,12 @@ namespace gemsd {
 
 /// One value along a scenario dimension: a label, an optional config
 /// mutation, an optional node count (node axes), and optional static extras
-/// that go into the run's results-JSON record.
+/// that go into the run's results-JSON record (custom cell hooks read their
+/// non-config knobs from them with extra_of).
 struct DimValue {
   std::string label;
   std::function<void(SystemConfig&)> apply;  ///< may be null (label-only)
   int nodes = -1;                            ///< >= 0: node-axis value
-  /// Opaque per-value datum for custom cell hooks (e.g. a workload knob that
-  /// is not a SystemConfig field). One slot per dimension, see
-  /// ScenarioCell::params.
-  double param = 0;
   std::vector<std::pair<std::string, double>> extra;
 };
 
@@ -46,7 +43,6 @@ struct Dim {
 struct ScenarioCell {
   SystemConfig cfg;
   std::vector<std::size_t> value_idx;  ///< per dimension, original index
-  std::vector<double> params;          ///< DimValue::param per dimension
   std::string label;                   ///< dim value labels, joined
   std::vector<std::pair<std::string, double>> extra;  ///< merged dim extras
 };
@@ -109,15 +105,12 @@ struct Scenario {
   /// Fully custom per-cell execution (replaces the standard build-and-run
   /// path). The BenchRun arrives with config and static extras filled in;
   /// the hook runs the simulation and sets result (plus more extras).
-  std::function<void(const SystemConfig&, const ScenarioCell&, BenchRun&)>
-      cell;
+  std::function<void(const SystemConfig&, BenchRun&)> cell;
   /// Post-run metrics scrape on the live System (standard path only).
   std::function<void(System&, BenchRun&)> probe;
   /// Custom console table replacing the generic per-group print_table
   /// (non-CSV output only; CSV always uses the shared emission path).
   std::function<void(const ScenarioResult&, const BenchOptions&)> table;
-  /// Extra trailing output after tables/paths (non-CSV only).
-  std::function<void(const ScenarioResult&, const BenchOptions&)> post;
   /// Print-only scenario (no simulations), e.g. the Table 4.1 parameter
   /// listing.
   std::function<void()> report;
@@ -151,7 +144,7 @@ ScenarioResult run_scenario(const Scenario& sc, const BenchOptions& opt);
 
 /// The single emission path all scenarios share: the requested files
 /// (write_artifacts; throws when one cannot be written), then per-group CSV
-/// or tables (honoring the scenario's custom table/post hooks and notes).
+/// or tables (honoring the scenario's custom table hook and notes).
 /// `out_dir` is where BENCH_<name>.json goes when --metrics-json was not
 /// given.
 void emit_scenario(const Scenario& sc, const BenchOptions& opt,

@@ -520,10 +520,10 @@ std::vector<Scenario> build_registry() {
     sc.dims = {Dim{"read_opt",
                    {{"readOpt=off",
                      [](SystemConfig& c) { c.pcl_read_optimization = false; },
-                     -1, 0.0, {{"read_opt", 0.0}}},
+                     -1, {{"read_opt", 0.0}}},
                     {"readOpt=on",
                      [](SystemConfig& c) { c.pcl_read_optimization = true; },
-                     -1, 0.0, {{"read_opt", 1.0}}}}},
+                     -1, {{"read_opt", 1.0}}}}},
                routing_dim(), node_dim({2, 4, 8})};
     sc.table = [](const ScenarioResult& res, const BenchOptions&) {
       std::printf(
@@ -570,17 +570,17 @@ std::vector<Scenario> build_registry() {
       his.disk_cache_pages = 5000;
     };
     Dim step{"step",
-             {{"all on plain disks", [](SystemConfig&) {}, -1, 0.0,
+             {{"all on plain disks", [](SystemConfig&) {}, -1,
                {{"step", 0.0}}},
-              {"+ B/T in GEM (Fig 4.3b)", bt_gem, -1, 0.0, {{"step", 1.0}}},
+              {"+ B/T in GEM (Fig 4.3b)", bt_gem, -1, {{"step", 1.0}}},
               {"+ NV cache on ACCOUNT+HISTORY (Sec 4.4)", nv_caches, -1,
-               0.0, {{"step", 2.0}}},
+               {{"step", 2.0}}},
               {"+ log in GEM",
                [nv_caches](SystemConfig& c) {
                  nv_caches(c);
                  c.log_storage = StorageKind::Gem;
                },
-               -1, 0.0, {{"step", 3.0}}}}};
+               -1, {{"step", 3.0}}}}};
     sc.dims = {node_dim({5}, /*clamp=*/true), step};
     sc.table = [](const ScenarioResult& res, const BenchOptions&) {
       if (res.runs.empty()) return;
@@ -737,12 +737,12 @@ std::vector<Scenario> build_registry() {
                      [](SystemConfig& c) {
                        c.gem_read_authorizations = false;
                      },
-                     -1, 0.0, {{"auths", 0.0}}},
+                     -1, {{"auths", 0.0}}},
                     {"auths=on",
                      [](SystemConfig& c) {
                        c.gem_read_authorizations = true;
                      },
-                     -1, 0.0, {{"auths", 1.0}}}}},
+                     -1, {{"auths", 1.0}}}}},
                node_dim({2, 4, 8})};
     sc.probe = [](System& sys, BenchRun& b) {
       b.extra.push_back(
@@ -806,19 +806,18 @@ std::vector<Scenario> build_registry() {
     for (int h : {4, 32, 256}) {
       DimValue v;
       v.label = "hot=" + std::to_string(h);
-      v.param = h;
       v.extra = {{"hot_pages", static_cast<double>(h)}};
       hot.values.push_back(std::move(v));
     }
     sc.dims = {coupling_dim(), hot,
                Dim{"mode",
-                   {{"R->W", nullptr, -1, 0.0, {{"update_mode_locks", 0.0}}},
-                    {"U", nullptr, -1, 1.0, {{"update_mode_locks", 1.0}}}}}};
-    sc.cell = [](const SystemConfig& cfg, const ScenarioCell& cell,
-                 BenchRun& b) {
-      run_update_lock_cell(cfg, /*intent=*/cell.params[2] != 0,
-                           /*hot_pages=*/static_cast<int>(cell.params[1]),
-                           /*txns=*/800, b);
+                   {{"R->W", nullptr, -1, {{"update_mode_locks", 0.0}}},
+                    {"U", nullptr, -1, {{"update_mode_locks", 1.0}}}}}};
+    sc.cell = [](const SystemConfig& cfg, BenchRun& b) {
+      run_update_lock_cell(
+          cfg, /*intent=*/extra_of(b, "update_mode_locks") != 0,
+          /*hot_pages=*/static_cast<int>(extra_of(b, "hot_pages")),
+          /*txns=*/800, b);
     };
     sc.table = [](const ScenarioResult& res, const BenchOptions&) {
       std::printf(
@@ -926,7 +925,7 @@ std::vector<Scenario> build_registry() {
       c.routing = Routing::Affinity;
     };
     sc.dims = {coupling_dim()};
-    sc.cell = [](const SystemConfig& cfg, const ScenarioCell&, BenchRun& b) {
+    sc.cell = [](const SystemConfig& cfg, BenchRun& b) {
       const double kFailAt = 10.0, kEnd = 22.0, kBucket = 1.0;
       System sys(cfg, make_debit_credit_workload(cfg));
       sys.start_source();
@@ -1025,10 +1024,10 @@ std::vector<Scenario> build_registry() {
                Dim{"group_commit",
                    {{"group=off",
                      [](SystemConfig& c) { c.log_group_commit = false; },
-                     -1, 0.0, {{"group_commit", 0.0}}},
+                     -1, {{"group_commit", 0.0}}},
                     {"group=on",
                      [](SystemConfig& c) { c.log_group_commit = true; },
-                     -1, 0.0, {{"group_commit", 1.0}}}}}};
+                     -1, {{"group_commit", 1.0}}}}}};
     sc.probe = [](System& sys, BenchRun& b) {
       b.extra.push_back(
           {"log_util", sys.storage().log_group(0).arm_utilization()});
@@ -1074,7 +1073,7 @@ std::vector<Scenario> build_registry() {
       c.measure = 45.0;  // 256 nodes x 100 TPS x 45 s > 1.15M commits
     };
     sc.dims = {scale_nodes_dim({64, 256, 512})};
-    sc.cell = [](const SystemConfig& cfg, const ScenarioCell&, BenchRun& b) {
+    sc.cell = [](const SystemConfig& cfg, BenchRun& b) {
       run_scale_out_cell(cfg, b);
     };
     sc.table = [](const ScenarioResult& res, const BenchOptions&) {
@@ -1106,7 +1105,7 @@ std::vector<Scenario> build_registry() {
       c.measure = 2.0;
     };
     sc.dims = {scale_nodes_dim({64})};
-    sc.cell = [](const SystemConfig& cfg, const ScenarioCell&, BenchRun& b) {
+    sc.cell = [](const SystemConfig& cfg, BenchRun& b) {
       run_scale_out_cell(cfg, b);
     };
     sc.table = [](const ScenarioResult& res, const BenchOptions&) {

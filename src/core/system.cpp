@@ -29,6 +29,11 @@ System::System(const SystemConfig& cfg, Workload wl)
     throw std::invalid_argument("buffer_pages must be >= 1, got " +
                                 std::to_string(cfg_.buffer_pages));
   }
+  // A log group is a k-server station: it needs at least one arm.
+  if (cfg_.log_disks_per_node < 1) {
+    throw std::invalid_argument("log_disks_per_node must be >= 1, got " +
+                                std::to_string(cfg_.log_disks_per_node));
+  }
   // These become event times: an infinite or NaN horizon never ends or
   // never starts, a negative warm-up would move the clock back, and a
   // non-positive rate makes arrivals that never advance time.
@@ -88,106 +93,6 @@ System::System(const SystemConfig& cfg, Workload wl)
     audit_ = std::make_unique<obs::Auditor>(trace_.get());
     metrics_.audit = audit_.get();
   }
-  if (cfg_.obs.timeseries) {
-    ts_ = std::make_unique<obs::TimeSeriesRecorder>(
-        cfg_.obs.timeseries_window, cfg_.obs.timeseries_cap, cfg_.nodes);
-    metrics_.ts = ts_.get();
-    // Cumulative-counter reader: invoked from inside TM hook processing when
-    // a window rolls over. Reads counters and busy-time integrals only —
-    // never mutates simulation state or draws random numbers.
-    ts_->set_poller([this](obs::TsCumulative& c) {
-      c.events = sched_.events_processed();
-      c.lock_waits = metrics_.lock_waits.value();
-      c.deadlocks = metrics_.deadlocks.value();
-      std::uint64_t h = 0, m = 0;
-      for (std::size_t p = 0; p < metrics_.hits.size(); ++p) {
-        h += metrics_.hits[p].value();
-        m += metrics_.misses[p].value();
-      }
-      c.hits = h;
-      c.misses = m;
-      c.msgs = comm_->messages_sent();
-      double cpu = 0;
-      for (const auto& cp : cpus_) cpu += cp->resource().busy_time();
-      c.cpu_busy_s = cpu;
-      double gem_busy = 0;
-      for (int s = 0; s < storage_->gem_shards(); ++s) {
-        gem_busy += storage_->gem(s).server().busy_time();
-      }
-      c.gem_busy_s = gem_busy;
-      c.net_busy_s = network_->link().busy_time();
-      double disk = 0;
-      for (std::size_t p = 0; p < cfg_.partitions.size(); ++p) {
-        if (const auto* g = storage_->group(static_cast<PartitionId>(p))) {
-          disk += g->arms().busy_time();
-        }
-      }
-      double log_busy = 0;
-      for (int n = 0; n < cfg_.nodes; ++n) {
-        if (const auto* g = storage_->log_group_if_built(n)) {
-          log_busy += g->arms().busy_time();
-        }
-      }
-      c.disk_busy_s = disk + log_busy;
-      // Tracked stations, same order as set_stations below: GEM shards,
-      // network, disk partition arms, log aggregate.
-      c.station_busy_s.clear();
-      for (int s = 0; s < storage_->gem_shards(); ++s) {
-        c.station_busy_s.push_back(storage_->gem(s).server().busy_time());
-      }
-      c.station_busy_s.push_back(network_->link().busy_time());
-      for (std::size_t p = 0; p < cfg_.partitions.size(); ++p) {
-        if (const auto* g = storage_->group(static_cast<PartitionId>(p))) {
-          c.station_busy_s.push_back(g->arms().busy_time());
-        }
-      }
-      c.station_busy_s.push_back(log_busy);
-    });
-    double disk_arms = 0;
-    for (std::size_t p = 0; p < cfg_.partitions.size(); ++p) {
-      if (const auto* g = storage_->group(static_cast<PartitionId>(p))) {
-        disk_arms += static_cast<double>(g->arms().capacity());
-      }
-    }
-    // Log groups are built lazily; their arm capacity is config-determined.
-    disk_arms += static_cast<double>(cfg_.nodes) *
-                 std::max(cfg_.log_disks_per_node, 1);
-    double gem_servers = 0;
-    for (int s = 0; s < storage_->gem_shards(); ++s) {
-      gem_servers += static_cast<double>(storage_->gem(s).server().capacity());
-    }
-    ts_->set_capacities(
-        static_cast<double>(cfg_.nodes) * cfg_.cpu.processors,
-        gem_servers,
-        static_cast<double>(network_->link().capacity()), disk_arms);
-    // Per-station series (bounded: shards + partitions + 2, never per-node):
-    // the per-window utilization of each station is what shows a bottleneck
-    // migrating — e.g. network vs GEM under scale_out's diurnal curve.
-    {
-      std::vector<obs::TsStation> stations;
-      for (int s = 0; s < storage_->gem_shards(); ++s) {
-        obs::TsStation st;
-        st.name = storage_->gem_shards() == 1 ? "gem"
-                                              : "gem.shard" + std::to_string(s);
-        st.capacity =
-            static_cast<double>(storage_->gem(s).server().capacity());
-        stations.push_back(std::move(st));
-      }
-      stations.push_back(obs::TsStation{
-          "net", static_cast<double>(network_->link().capacity())});
-      for (std::size_t p = 0; p < cfg_.partitions.size(); ++p) {
-        if (const auto* g = storage_->group(static_cast<PartitionId>(p))) {
-          stations.push_back(obs::TsStation{
-              "disk." + cfg_.partitions[p].name,
-              static_cast<double>(g->arms().capacity())});
-        }
-      }
-      stations.push_back(obs::TsStation{
-          "log", static_cast<double>(cfg_.nodes) *
-                     std::max(cfg_.log_disks_per_node, 1)});
-      ts_->set_stations(std::move(stations));
-    }
-  }
   if (cfg_.obs.progress_every_s > 0.0) {
     // Check the wall clock every few thousand events (one predictable branch
     // on the scheduler hot path otherwise); the tick itself decides whether
@@ -235,29 +140,145 @@ System::System(const SystemConfig& cfg, Workload wl)
   }
   node_up_.assign(static_cast<std::size_t>(cfg_.nodes), true);
 
+  // Recorders that read the station inventory: installed once every
+  // station exists. They read counters and busy-time integrals only and
+  // insert no scheduler events, so metrics stay byte-identical on or off.
+  if (cfg_.obs.timeseries) {
+    ts_ = std::make_unique<obs::TimeSeriesRecorder>(
+        cfg_.obs.timeseries_window, cfg_.obs.timeseries_cap, cfg_.nodes);
+    metrics_.ts = ts_.get();
+    // Cumulative-counter reader: invoked from inside TM hook processing when
+    // a window rolls over. Never mutates simulation state or draws random
+    // numbers.
+    ts_->set_poller([this](obs::TsCumulative& c) {
+      c.events = sched_.events_processed();
+      c.lock_waits = metrics_.lock_waits.value();
+      c.deadlocks = metrics_.deadlocks.value();
+      std::uint64_t h = 0, m = 0;
+      for (std::size_t p = 0; p < metrics_.hits.size(); ++p) {
+        h += metrics_.hits[p].value();
+        m += metrics_.misses[p].value();
+      }
+      c.hits = h;
+      c.misses = m;
+      c.msgs = comm_->messages_sent();
+      // Tracked stations in the order set_stations gets below: the GEM
+      // rows, net, each partition's arms, then the log aggregate.
+      double cpu = 0, gem = 0, disk = 0, log = 0;
+      c.station_busy_s.clear();
+      for_each_station([&](const Station& st) {
+        switch (st.kind) {
+          case Station::Kind::Cpu: cpu += st.res->busy_time(); break;
+          case Station::Kind::Gem:
+            gem += c.station_busy_s.emplace_back(st.res->busy_time());
+            break;
+          case Station::Kind::Net:
+            c.net_busy_s = c.station_busy_s.emplace_back(st.res->busy_time());
+            break;
+          case Station::Kind::DiskArms:
+            disk += c.station_busy_s.emplace_back(st.res->busy_time());
+            break;
+          case Station::Kind::LogArms:
+            if (st.res) log += st.res->busy_time();
+            break;
+          default: break;
+        }
+      });
+      c.station_busy_s.push_back(log);
+      c.cpu_busy_s = cpu;
+      c.gem_busy_s = gem;
+      c.disk_busy_s = disk + log;
+    });
+    // Per-station series (bounded: shards + partitions + 2, never per-node):
+    // the per-window utilization of each station is what shows a bottleneck
+    // migrating — e.g. network vs GEM under scale_out's diurnal curve.
+    double cpus = 0, gems = 0, net = 0, disks = 0, logs = 0;
+    std::vector<obs::TsStation> stations;
+    for_each_station([&](const Station& st) {
+      const double cap = st.capacity;
+      switch (st.kind) {
+        case Station::Kind::Cpu: cpus += cap; return;
+        case Station::Kind::LogArms: logs += cap; return;
+        case Station::Kind::Gem: gems += cap; break;
+        case Station::Kind::Net: net = cap; break;
+        case Station::Kind::DiskArms: disks += cap; break;
+        default: return;
+      }
+      stations.push_back(obs::TsStation{device_name(st), cap});
+    });
+    stations.push_back(obs::TsStation{"log", logs});
+    ts_->set_capacities(cpus, gems, net, disks + logs);
+    ts_->set_stations(std::move(stations));
+  }
   if (cfg_.obs.resources) {
     // Wait-sketch recording: the recorder owns per-station bucket vectors
-    // registered with each sim::Resource. Installed after every station
-    // exists; lazily built log groups attach through the storage hook the
-    // moment they are constructed. Costs one branch per acquisition and
-    // inserts no scheduler events, so metrics stay byte-identical on/off.
+    // registered with each sim::Resource. Costs one branch per acquisition.
     resrec_ = std::make_unique<obs::ResourceRecorder>();
-    for (auto& c : cpus_) resrec_->attach(c->resource());
-    for (auto& tm : tms_) resrec_->attach(tm->mpl_pool());
-    for (int s = 0; s < storage_->gem_shards(); ++s) {
-      resrec_->attach(storage_->gem(s).server());
-    }
-    resrec_->attach(network_->link());
-    for (std::size_t p = 0; p < cfg_.partitions.size(); ++p) {
-      if (auto* g = storage_->group(static_cast<PartitionId>(p))) {
-        resrec_->attach(g->arms());
-        resrec_->attach(g->controllers());
-      }
-    }
-    storage_->set_group_built_hook([this](storage::DiskGroup& g) {
-      resrec_->attach(g.arms());
-      resrec_->attach(g.controllers());
+    for_each_station([this](const Station& st) {
+      if (st.res) resrec_->attach(*st.res);
     });
+    // A log group built later attaches its station (the arms) then.
+    storage_->set_group_built_hook(
+        [this](storage::DiskGroup& g) { resrec_->attach(g.arms()); });
+  }
+}
+
+template <class F>
+void System::for_each_station(F&& f) const {
+  using K = Station::Kind;
+  for (int n = 0; n < cfg_.nodes; ++n) {
+    sim::Resource& r = cpus_[static_cast<std::size_t>(n)]->resource();
+    f(Station{K::Cpu, n, r.capacity(), &r, nullptr});
+  }
+  for (int n = 0; n < cfg_.nodes; ++n) {
+    sim::Resource& r = tms_[static_cast<std::size_t>(n)]->mpl_pool();
+    f(Station{K::Mpl, n, r.capacity(), &r, nullptr});
+  }
+  for (int s = 0; s < storage_->gem_shards(); ++s) {
+    sim::Resource& r = storage_->gem(s).server();
+    f(Station{K::Gem, s, r.capacity(), &r, nullptr});
+  }
+  sim::Resource& link = network_->link();
+  f(Station{K::Net, 0, link.capacity(), &link, nullptr});
+  for (int p = 0; p < static_cast<int>(cfg_.partitions.size()); ++p) {
+    if (storage::DiskGroup* g = storage_->group(p)) {
+      f(Station{K::DiskArms, p, g->arms().capacity(), &g->arms(), g});
+      f(Station{K::DiskControllers, p, g->controllers().capacity(),
+                &g->controllers(), g});
+    }
+  }
+  // Log groups are built on first use; until then the station has its
+  // configured arms and no resource.
+  for (int n = 0; n < cfg_.nodes; ++n) {
+    storage::DiskGroup* g = storage_->log_group_if_built(n);
+    f(Station{K::LogArms, n, cfg_.log_disks_per_node,
+              g ? &g->arms() : nullptr, g});
+  }
+}
+
+std::string System::device_name(const Station& st) const {
+  const std::string i = std::to_string(st.index);
+  switch (st.kind) {
+    case Station::Kind::Cpu: return "cpu.node" + i;
+    case Station::Kind::Mpl: return "mpl.node" + i;
+    case Station::Kind::Gem:
+      return storage_->gem_shards() == 1 ? "gem" : "gem.shard" + i;
+    case Station::Kind::Net: return "net";
+    case Station::Kind::DiskArms:
+    case Station::Kind::DiskControllers:
+      return "disk." + cfg_.partitions[static_cast<std::size_t>(st.index)].name;
+    case Station::Kind::LogArms: return "log.node" + i;
+  }
+  return {};
+}
+
+std::string System::station_name(const Station& st) const {
+  switch (st.kind) {
+    case Station::Kind::DiskArms:
+    case Station::Kind::LogArms: return device_name(st) + ".arms";
+    case Station::Kind::DiskControllers:
+      return device_name(st) + ".controllers";
+    default: return device_name(st);
   }
 }
 
@@ -610,82 +631,67 @@ RunResult System::collect() const {
   add("cc.coherency_violations",
       static_cast<double>(metrics_.coherency_violations.value()));
 
-  auto add_resource = [&](const std::string& pre, const sim::Resource& res) {
-    add(pre + ".util", res.utilization());
-    add(pre + ".queue_mean", res.mean_queue_length());
-    add(pre + ".wait_mean_s", res.wait_stat().mean());
-    add(pre + ".completions", static_cast<double>(res.completions()));
+  // Station rows in inventory order, each followed by its device's
+  // counters. The values come from the sim::Resource accessors, not from
+  // the derived ResourceRow fields, which round differently; a log group
+  // never built reports the zeros an idle one would.
+  const auto add_station = [&](const std::string& pre,
+                               const sim::Resource* res) {
+    add(pre + ".util", res ? res->utilization() : 0.0);
+    add(pre + ".queue_mean", res ? res->mean_queue_length() : 0.0);
+    add(pre + ".wait_mean_s", res ? res->wait_stat().mean() : 0.0);
+    add(pre + ".completions",
+        res ? static_cast<double>(res->completions()) : 0.0);
   };
-  for (std::size_t n = 0; n < cpus_.size(); ++n) {
-    add_resource("cpu.node" + std::to_string(n), cpus_[n]->resource());
-  }
-  for (std::size_t n = 0; n < tms_.size(); ++n) {
-    add_resource("mpl.node" + std::to_string(n), tms_[n]->mpl());
-  }
-  // GEM detail: with a single shard the canonical keys keep their exact
-  // bytes (shard 0 is the device); sharded runs add aggregate totals plus
-  // additive per-shard keys — `gemsd_analyze --compare` ignores detail keys,
-  // so the extra rows never break baseline comparisons.
-  if (storage_->gem_shards() == 1) {
-    add_resource("gem", storage_->gem().server());
-    add("gem.page_ops", static_cast<double>(storage_->gem().page_ops()));
-    add("gem.entry_ops", static_cast<double>(storage_->gem().entry_ops()));
-  } else {
-    double g_util = 0, g_queue = 0;
-    std::uint64_t g_pages = 0, g_entries = 0, g_completions = 0;
-    for (int s = 0; s < storage_->gem_shards(); ++s) {
-      const auto& dev = storage_->gem(s);
-      g_util += dev.utilization();
-      g_queue += dev.server().mean_queue_length();
-      g_pages += dev.page_ops();
-      g_entries += dev.entry_ops();
-      g_completions += dev.server().completions();
+  const int shards = storage_->gem_shards();
+  for_each_station([&](const Station& st) {
+    using K = Station::Kind;
+    if (st.kind == K::Gem && st.index == 0 && shards > 1) {
+      // Sharded GEM: aggregate totals ahead of the per-shard keys (with one
+      // shard the canonical gem.* keys are the device's own).
+      double g_util = 0, g_queue = 0;
+      std::uint64_t g_pages = 0, g_entries = 0, g_completions = 0;
+      for (int s = 0; s < shards; ++s) {
+        const auto& dev = storage_->gem(s);
+        g_util += dev.utilization();
+        g_queue += dev.server().mean_queue_length();
+        g_pages += dev.page_ops();
+        g_entries += dev.entry_ops();
+        g_completions += dev.server().completions();
+      }
+      add("gem.shards", static_cast<double>(shards));
+      add("gem.util", g_util / static_cast<double>(shards));
+      add("gem.queue_mean", g_queue);
+      add("gem.completions", static_cast<double>(g_completions));
+      add("gem.page_ops", static_cast<double>(g_pages));
+      add("gem.entry_ops", static_cast<double>(g_entries));
     }
-    const double shards = static_cast<double>(storage_->gem_shards());
-    add("gem.shards", shards);
-    add("gem.util", g_util / shards);
-    add("gem.queue_mean", g_queue);
-    add("gem.completions", static_cast<double>(g_completions));
-    add("gem.page_ops", static_cast<double>(g_pages));
-    add("gem.entry_ops", static_cast<double>(g_entries));
-    for (int s = 0; s < storage_->gem_shards(); ++s) {
-      const auto& dev = storage_->gem(s);
-      const std::string pre = "gem.shard" + std::to_string(s);
-      add_resource(pre, dev.server());
-      add(pre + ".page_ops", static_cast<double>(dev.page_ops()));
-      add(pre + ".entry_ops", static_cast<double>(dev.entry_ops()));
+    add_station(station_name(st), st.res);
+    const std::string dev = device_name(st);
+    switch (st.kind) {
+      case K::Gem:
+        add(dev + ".page_ops",
+            static_cast<double>(storage_->gem(st.index).page_ops()));
+        add(dev + ".entry_ops",
+            static_cast<double>(storage_->gem(st.index).entry_ops()));
+        break;
+      case K::Net:
+        add(dev + ".short_msgs", static_cast<double>(network_->short_count()));
+        add(dev + ".long_msgs", static_cast<double>(network_->long_count()));
+        add(dev + ".messages_sent",
+            static_cast<double>(comm_->messages_sent()));
+        break;
+      case K::DiskControllers:
+        add(dev + ".reads", static_cast<double>(st.group->reads()));
+        add(dev + ".writes", static_cast<double>(st.group->writes()));
+        break;
+      case K::LogArms:
+        add(dev + ".writes",
+            st.group ? static_cast<double>(st.group->writes()) : 0.0);
+        break;
+      default: break;
     }
-  }
-  add_resource("net", network_->link());
-  add("net.short_msgs", static_cast<double>(network_->short_count()));
-  add("net.long_msgs", static_cast<double>(network_->long_count()));
-  add("net.messages_sent", static_cast<double>(comm_->messages_sent()));
-  for (std::size_t p = 0; p < cfg_.partitions.size(); ++p) {
-    if (const auto* g = storage_->group(static_cast<PartitionId>(p))) {
-      const std::string pre = "disk." + cfg_.partitions[p].name;
-      add_resource(pre + ".arms", g->arms());
-      add_resource(pre + ".controllers", g->controllers());
-      add(pre + ".reads", static_cast<double>(g->reads()));
-      add(pre + ".writes", static_cast<double>(g->writes()));
-    }
-  }
-  for (std::size_t n = 0; n < static_cast<std::size_t>(cfg_.nodes); ++n) {
-    const std::string pre = "log.node" + std::to_string(n);
-    if (const auto* g =
-            storage_->log_group_if_built(static_cast<NodeId>(n))) {
-      add_resource(pre + ".arms", g->arms());
-      add(pre + ".writes", static_cast<double>(g->writes()));
-    } else {
-      // Never built (GEM-resident log / idle node): report the exact zeros
-      // an eagerly constructed untouched DiskGroup would — same keys, same
-      // bytes, none of the per-node allocations.
-      add(pre + ".arms.util", 0.0);
-      add(pre + ".arms.queue_mean", 0.0);
-      add(pre + ".arms.wait_mean_s", 0.0);
-      add(pre + ".arms.completions", 0.0);
-      add(pre + ".writes", 0.0);
-    }
-  }
+  });
   // Scheduler self-metrics. Everything except wall_events_per_s is a
   // property of the schedule. Additive only — `gemsd_analyze --compare`
   // ignores detail keys.
@@ -739,58 +745,31 @@ obs::ResourceSet System::resource_snapshot() const {
       horizon > 0 ? static_cast<double>(set.commits) / horizon : 0.0;
   if (resrec_) set.layout = resrec_->layout();
 
-  const auto buckets = [&](const sim::Resource& res) {
-    return resrec_ ? resrec_->buckets_for(res) : nullptr;
-  };
-  auto station = [&](const sim::Resource& res, std::string name,
-                     std::string kind, int node) {
-    set.rows.push_back(obs::resource_row(res, std::move(name), std::move(kind),
-                                         node, horizon, set.commits,
-                                         buckets(res)));
-  };
-
-  for (std::size_t n = 0; n < cpus_.size(); ++n) {
-    station(cpus_[n]->resource(), "cpu.node" + std::to_string(n), "cpu",
-            static_cast<int>(n));
-  }
-  for (std::size_t n = 0; n < tms_.size(); ++n) {
-    station(tms_[n]->mpl(), "mpl.node" + std::to_string(n), "mpl",
-            static_cast<int>(n));
-  }
-  if (storage_->gem_shards() == 1) {
-    station(storage_->gem().server(), "gem", "gem", -1);
-  } else {
-    for (int s = 0; s < storage_->gem_shards(); ++s) {
-      station(storage_->gem(s).server(), "gem.shard" + std::to_string(s),
-              "gem", -1);
+  for_each_station([&](const Station& st) {
+    using K = Station::Kind;
+    static constexpr const char* kKinds[] = {"cpu",  "mpl",  "gem", "net",
+                                             "disk", "disk", "log"};
+    const char* kind = kKinds[static_cast<int>(st.kind)];
+    const int node =
+        st.kind == K::Cpu || st.kind == K::Mpl || st.kind == K::LogArms
+            ? st.index
+            : -1;
+    if (st.res) {
+      set.rows.push_back(obs::resource_row(
+          *st.res, station_name(st), kind, node, horizon, set.commits,
+          resrec_ ? resrec_->buckets_for(*st.res) : nullptr));
+      return;
     }
-  }
-  station(network_->link(), "net", "net", -1);
-  for (std::size_t p = 0; p < cfg_.partitions.size(); ++p) {
-    if (const auto* g = storage_->group(static_cast<PartitionId>(p))) {
-      const std::string pre = "disk." + cfg_.partitions[p].name;
-      station(g->arms(), pre + ".arms", "disk", -1);
-      station(g->controllers(), pre + ".controllers", "disk", -1);
-    }
-  }
-  for (std::size_t n = 0; n < static_cast<std::size_t>(cfg_.nodes); ++n) {
-    const std::string pre = "log.node" + std::to_string(n);
-    if (const auto* g =
-            storage_->log_group_if_built(static_cast<NodeId>(n))) {
-      station(g->arms(), pre + ".arms", "log", static_cast<int>(n));
-    } else {
-      // Never built (GEM-resident log / idle node): an all-zero row with the
-      // capacity an eagerly built group would have had, so the station list
-      // is identical either way.
-      obs::ResourceRow row;
-      row.name = pre + ".arms";
-      row.kind = "log";
-      row.node = static_cast<int>(n);
-      row.capacity = std::max(cfg_.log_disks_per_node, 1);
-      obs::derive_resource_row(row, horizon, set.commits);
-      set.rows.push_back(std::move(row));
-    }
-  }
+    // A log group never built: the all-zero row an idle group would give,
+    // so the station list is identical either way.
+    obs::ResourceRow row;
+    row.name = station_name(st);
+    row.kind = kind;
+    row.node = node;
+    row.capacity = st.capacity;
+    obs::derive_resource_row(row, horizon, set.commits);
+    set.rows.push_back(std::move(row));
+  });
   {
     // The lock-table wait queue is a pure delay station (capacity 0): every
     // granted-after-wait lock request is an arrival and a completion, and the

@@ -84,7 +84,8 @@ class System {
   obs::ResourceRecorder* resource_recorder() { return resrec_.get(); }
 
   /// Per-station operational snapshot over the current measurement horizon
-  /// (obs/resources.hpp). Always available — the counters it reads are
+  /// (obs/resources.hpp): one row per station of the inventory, plus the
+  /// lock-table wait queue. Always available — the counters it reads are
   /// maintained unconditionally; with cfg.obs.resources the rows also carry
   /// the recorded wait sketches. Pure observation.
   obs::ResourceSet resource_snapshot() const;
@@ -105,6 +106,28 @@ class System {
   }
 
  private:
+  /// One queueing station of the model.
+  struct Station {
+    enum class Kind { Cpu, Mpl, Gem, Net, DiskArms, DiskControllers, LogArms };
+    Kind kind;
+    int index;     ///< node (cpu, mpl, log), GEM shard or partition (disk)
+    int capacity;  ///< servers
+    sim::Resource* res;  ///< null while the node's log group is not built
+    const storage::DiskGroup* group;  ///< disk and log stations' device
+  };
+  /// The station inventory: calls f(const Station&) for every station in
+  /// one fixed order — cpu.node<n>, mpl.node<n>, gem or gem.shard<s>, net,
+  /// disk.<P>.arms and disk.<P>.controllers for each disk-backed partition,
+  /// log.node<n>.arms. The detail block, resource_snapshot, the wait
+  /// sketches and the time series all read it.
+  template <class F>
+  void for_each_station(F&& f) const;
+  /// The device a station belongs to: cpu.node<n>, mpl.node<n>, gem (or
+  /// gem.shard<s> when sharded), net, disk.<P>, log.node<n>.
+  std::string device_name(const Station& st) const;
+  /// The device name, plus .arms or .controllers for disk and log groups.
+  std::string station_name(const Station& st) const;
+
   sim::Task<void> source();
   sim::Task<void> recovery_process(NodeId n, sim::SimTime crash_time);
   /// --progress heartbeat: invoked from the scheduler's event loop every few

@@ -51,7 +51,7 @@ DiskGroup& StorageManager::log_group(NodeId n) {
   if (!slot) {
     slot = std::make_unique<DiskGroup>(
         sched_, rng_, "log" + std::to_string(n),
-        std::max(cfg_.log_disks_per_node, 1),
+        cfg_.log_disks_per_node,
         DiskGroup::Times{cfg_.disk.log_disk, cfg_.disk.controller,
                          cfg_.disk.transfer});
     if (group_built_hook_) group_built_hook_(*slot);

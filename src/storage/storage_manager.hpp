@@ -90,9 +90,10 @@ class StorageManager {
   /// logs, eagerly constructing a DiskGroup (two Resources + queues) per node
   /// is pure waste — an untouched group reports all-zero stats anyway.
   DiskGroup& log_group(NodeId n);
-  /// Read-only view for stats collection: null when the node never logged to
-  /// disk (report zeros; identical to an eagerly built idle group).
-  const DiskGroup* log_group_if_built(NodeId n) const {
+  /// The log group without building it, for observation: null when the node
+  /// never logged to disk (report zeros; identical to an eagerly built idle
+  /// group).
+  DiskGroup* log_group_if_built(NodeId n) {
     return logs_[static_cast<std::size_t>(n)].get();
   }
   /// Invoked whenever a lazy log group is first constructed (observability

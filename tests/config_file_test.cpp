@@ -185,6 +185,29 @@ TEST(RunSpec, NonPositiveTpsIsRejected) {
   }
 }
 
+TEST(RunSpec, LogDisksBelowOneIsRejectedWithKeyAndLine) {
+  // log_disks = 0 used to run byte-identical to log_disks = 1.
+  for (const char* v : {"0", "-2"}) {
+    const std::string err = parse_error(
+        std::string("[system]\nnodes = 2\nlog_disks = ") + v + "\n");
+    EXPECT_NE(err.find("line 3"), std::string::npos) << v << ": " << err;
+    EXPECT_NE(err.find("log_disks"), std::string::npos) << v << ": " << err;
+  }
+  EXPECT_EQ(parse_error("[system]\nlog_disks = 1\n"), "");
+}
+
+TEST(RunSpec, TraceTxnsBelowOneIsRejectedWithKeyAndLine) {
+  // trace_txns = 0 printed an all-zero row and exited 0; -1 failed deep in
+  // the trace generator with "vector::reserve".
+  for (const char* v : {"0", "-1"}) {
+    const std::string err = parse_error(
+        std::string("[workload]\nkind = trace\ntrace_txns = ") + v + "\n");
+    EXPECT_NE(err.find("line 3"), std::string::npos) << v << ": " << err;
+    EXPECT_NE(err.find("trace_txns"), std::string::npos) << v << ": " << err;
+  }
+  EXPECT_EQ(parse_error("[workload]\nkind = trace\ntrace_txns = 1\n"), "");
+}
+
 TEST(RunSpec, ShippedSpecsParse) {
   // The specs/ directory must stay in sync with the parser.
   const std::string bases[] = {"specs/", "../specs/", "../../specs/"};

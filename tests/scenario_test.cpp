@@ -183,11 +183,12 @@ TEST(ScenarioPlan, CellsCarryLabelsParamsAndExtras) {
   const ScenarioPlan plan = build_scenario_plan(sc, quick_opts());
   ASSERT_EQ(plan.cells.size(), 12u);
   EXPECT_EQ(plan.cells.front().label, "GEM hot=4 R->W");
-  // params: [coupling(unused), hot_pages, update-mode flag]
-  ASSERT_EQ(plan.cells.front().params.size(), 3u);
-  EXPECT_EQ(plan.cells.front().params[1], 4.0);
-  EXPECT_EQ(plan.cells.back().params[1], 256.0);
-  EXPECT_EQ(plan.cells.back().params[2], 1.0);
+  // The custom cell hook reads its workload knobs from the merged extras.
+  using Extras = std::vector<std::pair<std::string, double>>;
+  EXPECT_EQ(plan.cells.front().extra,
+            (Extras{{"hot_pages", 4.0}, {"update_mode_locks", 0.0}}));
+  EXPECT_EQ(plan.cells.back().extra,
+            (Extras{{"hot_pages", 256.0}, {"update_mode_locks", 1.0}}));
 }
 
 // --- golden: fig_4_1 against the committed baseline shape -----------------

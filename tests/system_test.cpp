@@ -5,11 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
 #include <stdexcept>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "core/system.hpp"
+#include "obs/resources.hpp"
+#include "obs/timeseries.hpp"
 #include "workload/trace_generator.hpp"
 
 namespace gemsd {
@@ -229,6 +234,18 @@ TEST(System, NegativeCachePagesAreRejected) {
                std::invalid_argument);
 }
 
+TEST(System, NonPositiveLogDisksIsRejected) {
+  // A log group needs at least one arm; 0 used to be run silently as 1.
+  for (const int disks : {0, -1}) {
+    SystemConfig cfg = base_cfg();
+    cfg.nodes = 2;
+    cfg.log_disks_per_node = disks;
+    EXPECT_THROW(System(cfg, make_debit_credit_workload(cfg)),
+                 std::invalid_argument)
+        << "log_disks_per_node " << disks;
+  }
+}
+
 TEST(System, NonFiniteOrNegativeHorizonIsRejected) {
   // Configs built in code skip the spec parser: an infinite or NaN horizon
   // hung or ran silently, and a negative warm-up moved the clock back.
@@ -263,6 +280,82 @@ TEST(System, NonPositiveArrivalRateIsRejected) {
     EXPECT_THROW(System(cfg, make_debit_credit_workload(cfg)),
                  std::invalid_argument)
         << "rate " << r;
+  }
+}
+
+// The detail block, the resources snapshot and the time series all read
+// one station list. Config (a) never builds a log group (log in GEM), shards
+// the GEM and keeps a partition GEM-resident; (b) is PCL with a disk log.
+TEST(System, StationInventoryIsSharedByEveryObserver) {
+  SystemConfig gem_log = base_cfg();
+  gem_log.nodes = 3;
+  gem_log.coupling = Coupling::GemLocking;
+  gem_log.log_storage = StorageKind::Gem;
+  gem_log.gem.shards = 2;
+  gem_log.partitions[DebitCreditIds::kBranchTeller].storage = StorageKind::Gem;
+  gem_log.partitions[DebitCreditIds::kAccount].storage =
+      StorageKind::DiskNvCache;
+  gem_log.partitions[DebitCreditIds::kAccount].disk_cache_pages = 2000;
+  SystemConfig pcl = base_cfg();
+  pcl.nodes = 2;
+  pcl.coupling = Coupling::PrimaryCopy;
+
+  for (SystemConfig cfg : {gem_log, pcl}) {
+    SCOPED_TRACE(cfg.nodes == 3 ? "gem log" : "pcl");
+    cfg.warmup = 0.5;
+    cfg.measure = 1.5;
+    cfg.obs.resources = true;
+    cfg.obs.timeseries = true;
+    cfg.obs.audit = true;
+    System sys(cfg, make_debit_credit_workload(cfg));
+    const RunResult r = sys.run();
+    EXPECT_TRUE(sys.auditor()->violations().empty());
+    ASSERT_TRUE(r.telemetry && r.telemetry->resources &&
+                r.telemetry->timeseries);
+    const obs::TsSeries& ts = *r.telemetry->timeseries;
+    std::map<std::string, double> detail(r.telemetry->detail.begin(),
+                                         r.telemetry->detail.end());
+
+    std::vector<std::string> ts_names;
+    double cpu = 0, gem = 0, net = 0, disk = 0;
+    std::size_t log_rows = 0;
+    for (const obs::ResourceRow& row : r.telemetry->resources->rows) {
+      if (row.name == "lock") continue;
+      for (const char* key :
+           {".util", ".queue_mean", ".wait_mean_s", ".completions"}) {
+        EXPECT_EQ(detail.count(row.name + key), 1u) << row.name << key;
+      }
+      EXPECT_EQ(detail[row.name + ".completions"],
+                static_cast<double>(row.completions))
+          << row.name;
+      if (row.kind == "cpu") cpu += row.capacity;
+      if (row.kind == "gem") {
+        gem += row.capacity;
+        ts_names.push_back(row.name);
+      }
+      if (row.kind == "net") {
+        net += row.capacity;
+        ts_names.push_back(row.name);
+      }
+      if (row.kind == "disk" && row.name.ends_with(".arms")) {
+        disk += row.capacity;
+        ts_names.push_back(row.name.substr(0, row.name.size() - 5));
+      }
+      if (row.kind == "log") {
+        disk += row.capacity;
+        ++log_rows;
+      }
+    }
+    ts_names.push_back("log");
+    EXPECT_EQ(log_rows, static_cast<std::size_t>(cfg.nodes));
+
+    std::vector<std::string> got;
+    for (const obs::TsStation& st : ts.stations) got.push_back(st.name);
+    EXPECT_EQ(got, ts_names);
+    EXPECT_EQ(ts.cpu_capacity, cpu);
+    EXPECT_EQ(ts.gem_capacity, gem);
+    EXPECT_EQ(ts.net_capacity, net);
+    EXPECT_EQ(ts.disk_capacity, disk);
   }
 }
 

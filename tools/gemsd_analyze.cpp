@@ -43,7 +43,7 @@
 //
 //   gemsd_analyze --bottleneck[=FILE] [<resources.json>]
 //       Capacity analysis from a "gemsd.resources.v1" document (written by
-//       --resources on any bench, gemsd_run or gemsd_scenario): stations
+//       --resources on gemsd_bench or gemsd_run): stations
 //       ranked by utilization and service demand, the cluster bottleneck,
 //       each station's saturation arrival rate, the asymptotic throughput
 //       bound X_max = min_i capacity_i/demand_i, what-if projections at

@@ -146,7 +146,12 @@ int main(int argc, char** argv) {
       // how gemsd_bench builds the in-registry config.
       trace = traces.at(std::make_pair(j.spec.trace_file, j.spec.trace_txns));
       cfg = make_trace_config(*trace);
-      apply_spec_keys(cfg, j.spec.keys);
+      try {
+        apply_spec_keys(cfg, j.spec.keys);
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "error: %s: %s\n", j.title.c_str(), e.what());
+        return 1;
+      }
     }
     cfgs.push_back(std::move(cfg));
     run_traces.push_back(std::move(trace));
