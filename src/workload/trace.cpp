@@ -1,21 +1,136 @@
 #include "workload/trace.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_set>
 
 namespace gemsd::workload {
+
+namespace {
+
+constexpr std::uint64_t kPageMask = (std::uint64_t{1} << 47) - 1;
+
+/// Packs a range-checked reference: partition << 48 | page << 1 | write.
+std::uint64_t pack(std::int64_t partition, std::int64_t page, bool write) {
+  return (static_cast<std::uint64_t>(partition) << 48) |
+         (static_cast<std::uint64_t>(page) << 1) |
+         static_cast<std::uint64_t>(write);
+}
+
+PageRef unpack(std::uint64_t v) {
+  return PageRef{PageId{static_cast<PartitionId>(v >> 48),
+                        static_cast<std::int64_t>((v >> 1) & kPageMask)},
+                 (v & 1) != 0};
+}
+
+[[noreturn]] void fail(std::size_t line, const std::string& what) {
+  throw std::runtime_error("trace line " + std::to_string(line) + ": " + what);
+}
+
+/// The whitespace-separated fields of one line; `n` counts past the array
+/// when there are more.
+struct Fields {
+  std::array<std::string_view, 3> f;
+  std::size_t n = 0;
+};
+
+Fields split(std::string_view s) {
+  Fields out;
+  std::size_t i = 0;
+  while (true) {
+    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
+    if (i == s.size()) return out;
+    const std::size_t b = i;
+    while (i < s.size() && !std::isspace(static_cast<unsigned char>(s[i]))) {
+      ++i;
+    }
+    if (out.n < out.f.size()) out.f[out.n] = s.substr(b, i - b);
+    ++out.n;
+  }
+}
+
+template <typename T>
+T parse(std::string_view s, std::size_t line, const char* what) {
+  T v{};
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || end != s.data() + s.size()) {
+    fail(line, std::string("malformed ") + what + " '" + std::string(s) + "'");
+  }
+  return v;
+}
+
+/// Header line `key <count>` with count in [1, max].
+int header_count(const Fields& f, const char* key, int max, std::size_t line) {
+  if (f.n != 2 || f.f[0] != key) {
+    fail(line, std::string("expected '") + key + " <count>'");
+  }
+  const auto v = parse<std::int64_t>(f.f[1], line, key);
+  if (v < 1 || v > max) {
+    fail(line, std::string(key) + " " + std::to_string(v) + " outside [1, " +
+                   std::to_string(max) + "]");
+  }
+  return static_cast<int>(v);
+}
+
+}  // namespace
+
+TxnSpec Trace::txn(std::size_t i) const {
+  const Txn& t = txns_[i];
+  TxnSpec s;
+  s.type = t.type;
+  s.affinity_key = t.type;
+  s.refs.resize(t.count);
+  for (std::size_t k = 0; k < t.count; ++k) {
+    s.refs[k] = unpack(refs_[t.first + k]);
+  }
+  return s;
+}
+
+void Trace::add_txn(std::int64_t type) {
+  if (type < 0 || type >= num_types) {
+    throw std::invalid_argument("type " + std::to_string(type) +
+                                " outside [0, " + std::to_string(num_types) +
+                                ")");
+  }
+  txns_.push_back(Txn{refs_.size(), 0, static_cast<std::int32_t>(type)});
+}
+
+void Trace::add_ref(std::int64_t partition, std::int64_t page, bool write) {
+  if (txns_.empty()) throw std::invalid_argument("reference before any 't'");
+  const int files = std::min(num_files, kMaxFiles);
+  if (partition < 0 || partition >= files) {
+    throw std::invalid_argument("partition " + std::to_string(partition) +
+                                " outside [0, " + std::to_string(files) + ")");
+  }
+  if (page < 0 || page > kMaxPage) {
+    throw std::invalid_argument("page " + std::to_string(page) +
+                                " outside [0, " + std::to_string(kMaxPage) +
+                                "]");
+  }
+  Txn& t = txns_.back();
+  if (t.count == UINT32_MAX) {
+    throw std::invalid_argument("more than 2^32 - 1 references in one 't'");
+  }
+  ++t.count;
+  refs_.push_back(pack(partition, page, write));
+}
+
+void Trace::shuffle(sim::Rng& rng) { rng.shuffle(txns_.begin(), txns_.end()); }
 
 void Trace::save(std::ostream& os) const {
   os << "gemsd-trace 1\n";
   os << "types " << num_types << "\n";
   os << "files " << num_files << "\n";
-  for (const auto& t : txns) {
-    os << "t " << t.type << " " << t.refs.size() << "\n";
-    for (const auto& r : t.refs) {
+  for (const Txn& t : txns_) {
+    os << "t " << t.type << " " << t.count << "\n";
+    for (std::size_t k = 0; k < t.count; ++k) {
+      const PageRef r = unpack(refs_[t.first + k]);
       os << (r.write ? "w " : "r ") << r.page.partition << " " << r.page.page
          << "\n";
     }
@@ -30,52 +145,89 @@ void Trace::save_file(const std::string& path) const {
 
 Trace Trace::load(std::istream& is) {
   Trace tr;
-  std::string magic;
-  int version = 0;
-  is >> magic >> version;
-  if (magic != "gemsd-trace" || version != 1) {
-    throw std::runtime_error("not a gemsd trace (bad header)");
-  }
-  std::string key;
-  is >> key >> tr.num_types;
-  if (key != "types") throw std::runtime_error("trace: expected 'types'");
-  is >> key >> tr.num_files;
-  if (key != "files") throw std::runtime_error("trace: expected 'files'");
-  while (is >> key) {
-    if (key != "t") throw std::runtime_error("trace: expected 't'");
-    TxnSpec t;
-    std::size_t nrefs = 0;
-    is >> t.type >> nrefs;
-    t.affinity_key = t.type;
-    t.refs.reserve(nrefs);
-    for (std::size_t i = 0; i < nrefs; ++i) {
-      std::string mode;
-      PageRef r;
-      is >> mode >> r.page.partition >> r.page.page;
-      r.write = (mode == "w");
-      t.refs.push_back(r);
+  std::string text;
+  std::size_t line = 0;
+  int header = 0;                // header lines read: magic, types, files
+  std::size_t txn_line = 0;      // line of the last 't'
+  std::uint64_t announced = 0;   // references that 't' announced
+  const auto check_complete = [&] {
+    if (!tr.txns_.empty() && tr.txns_.back().count < announced) {
+      fail(txn_line, "'t' announces " + std::to_string(announced) +
+                         " references, " +
+                         std::to_string(tr.txns_.back().count) + " follow");
     }
-    tr.txns.push_back(std::move(t));
+  };
+  while (std::getline(is, text)) {
+    ++line;
+    const Fields f = split(text);
+    if (f.n == 0) continue;
+    if (header == 0) {
+      if (f.n != 2 || f.f[0] != "gemsd-trace" || f.f[1] != "1") {
+        fail(line, "not a gemsd trace (expected 'gemsd-trace 1')");
+      }
+    } else if (header == 1) {
+      tr.num_types = header_count(f, "types", INT32_MAX, line);
+    } else if (header == 2) {
+      tr.num_files = header_count(f, "files", kMaxFiles, line);
+    }
+    if (header < 3) {
+      ++header;
+      continue;
+    }
+    const std::string_view mode = f.f[0];
+    if (mode != "t" && mode != "r" && mode != "w") {
+      fail(line, "unknown record '" + std::string(mode) + "'");
+    }
+    if (f.n != 3) {
+      fail(line, "'" + std::string(mode) + "' takes 2 fields, got " +
+                     std::to_string(f.n - 1));
+    }
+    try {
+      if (mode == "t") {
+        check_complete();
+        const auto type = parse<std::int64_t>(f.f[1], line, "type");
+        announced = parse<std::uint64_t>(f.f[2], line, "reference count");
+        txn_line = line;
+        tr.add_txn(type);
+      } else {
+        if (!tr.txns_.empty() && tr.txns_.back().count == announced) {
+          fail(line, "reference beyond the " + std::to_string(announced) +
+                         " announced at line " + std::to_string(txn_line));
+        }
+        tr.add_ref(parse<std::int64_t>(f.f[1], line, "partition"),
+                   parse<std::int64_t>(f.f[2], line, "page"), mode == "w");
+      }
+    } catch (const std::invalid_argument& e) {
+      fail(line, e.what());
+    }
   }
+  if (header < 3) fail(line + 1, "end of file in the header");
+  check_complete();
+  if (tr.txns_.empty()) fail(line + 1, "end of file before the first 't'");
   return tr;
 }
 
 Trace Trace::load_file(const std::string& path) {
   std::ifstream f(path);
   if (!f) throw std::runtime_error("cannot open trace file: " + path);
-  return load(f);
+  try {
+    return load(f);
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(path + ": " + e.what());
+  }
 }
 
 TraceStats compute_stats(const Trace& t) {
   TraceStats s;
-  s.transactions = t.txns.size();
+  s.transactions = t.size();
+  s.references = t.references();
   std::unordered_set<std::uint64_t> pages;
   std::size_t writes = 0, updates = 0;
-  for (const auto& txn : t.txns) {
-    s.references += txn.refs.size();
-    s.largest_txn = std::max(s.largest_txn, txn.refs.size());
+  for (const auto& txn : t.txns_) {
+    s.largest_txn = std::max<std::size_t>(s.largest_txn, txn.count);
     bool upd = false;
-    for (const auto& r : txn.refs) {
+    for (std::size_t k = 0; k < txn.count; ++k) {
+      const PageRef r = unpack(t.refs_[txn.first + k]);
       pages.insert(r.page.key());
       if (r.write) {
         ++writes;
@@ -105,10 +257,11 @@ TraceProfile profile_trace(const Trace& t) {
   p.type_file_refs.assign(
       static_cast<std::size_t>(t.num_types),
       std::vector<double>(static_cast<std::size_t>(t.num_files), 0.0));
-  for (const auto& txn : t.txns) {
+  for (const auto& txn : t.txns_) {
     const auto ty = static_cast<std::size_t>(txn.type);
-    p.type_load[ty] += static_cast<double>(txn.refs.size());
-    for (const auto& r : txn.refs) {
+    p.type_load[ty] += static_cast<double>(txn.count);
+    for (std::size_t k = 0; k < txn.count; ++k) {
+      const PageRef r = unpack(t.refs_[txn.first + k]);
       p.type_file_refs[ty][static_cast<std::size_t>(r.page.partition)] += 1.0;
     }
   }

@@ -55,7 +55,7 @@ Trace generate_synthetic_trace(const SyntheticTraceConfig& cfg,
                                sim::Rng& rng) {
   Trace tr;
   tr.num_types = static_cast<int>(kTypes.size());
-  tr.num_files = cfg.files;
+  tr.num_files = static_cast<int>(kFilePages.size());
 
   std::vector<sim::ZipfGenerator> zipf;
   zipf.reserve(kFilePages.size());
@@ -81,13 +81,10 @@ Trace generate_synthetic_trace(const SyntheticTraceConfig& cfg,
     --assigned;
   }
 
-  tr.txns.reserve(cfg.transactions);
   for (std::size_t ty = 0; ty < kTypes.size(); ++ty) {
     const TypeShape& s = kTypes[ty];
     for (std::size_t i = 0; i < counts[ty]; ++i) {
-      TxnSpec t;
-      t.type = static_cast<int>(ty);
-      t.affinity_key = t.type;
+      tr.add_txn(static_cast<std::int64_t>(ty));
 
       std::size_t nrefs;
       if (ty == 11) {
@@ -102,16 +99,14 @@ Trace generate_synthetic_trace(const SyntheticTraceConfig& cfg,
       }
       const bool updating = rng.bernoulli(s.update_prob);
 
-      t.refs.reserve(nrefs);
       int cur_file = s.home_file;
       std::int64_t cur_page = -1;
       if (ty == 11) {
         // Sequential scan of the big file, wrapping.
         std::int64_t start = rng.uniform_int(0, kFilePages[0] - 1);
         for (std::size_t r = 0; r < nrefs; ++r) {
-          t.refs.push_back(PageRef{
-              PageId{0, (start + static_cast<std::int64_t>(r)) % kFilePages[0]},
-              false});
+          tr.add_ref(0, (start + static_cast<std::int64_t>(r)) % kFilePages[0],
+                     false);
         }
       } else {
         for (std::size_t r = 0; r < nrefs; ++r) {
@@ -134,18 +129,17 @@ Trace generate_synthetic_trace(const SyntheticTraceConfig& cfg,
                 kFilePages[static_cast<std::size_t>(cur_file)];
             cur_page = rng.uniform_int(size * 3 / 10, size - 1);
           }
-          t.refs.push_back(PageRef{PageId{cur_file, cur_page}, w});
+          tr.add_ref(cur_file, cur_page, w);
         }
         // An "updating" instance that drew no write refs simply counts as
         // read-only; forcing a write here could land on a read-hot page and
         // (with seconds-long strict-2PL hold times) stall the whole cluster.
       }
-      tr.txns.push_back(std::move(t));
     }
   }
 
   // Shuffle so the replay interleaves types as a real trace would.
-  std::shuffle(tr.txns.begin(), tr.txns.end(), rng.engine());
+  tr.shuffle(rng);
   return tr;
 }
 

@@ -24,7 +24,6 @@ namespace gemsd::workload {
 /// be used instead.
 struct SyntheticTraceConfig {
   std::size_t transactions = 17500;
-  int files = 13;
   double zipf_theta = 1.0;
   /// Probability that the next reference continues sequentially in the same
   /// file (intra-transaction locality).

@@ -84,15 +84,6 @@ TEST(Histogram, EmptyQuantileIsZero) {
   EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
 }
 
-TEST(Rng, TruncatedNormalStaysInBounds) {
-  sim::Rng rng(9);
-  for (int i = 0; i < 5000; ++i) {
-    const double x = rng.normal(10.0, 5.0, 8.0, 12.0);
-    EXPECT_GE(x, 8.0);
-    EXPECT_LE(x, 12.0);
-  }
-}
-
 TEST(BenchOptions, ParsesFlags) {
   const char* argv[] = {"prog",          "--quick",        "--max-nodes=7",
                         "--seed=123",    "--full",         "--csv",

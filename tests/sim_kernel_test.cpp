@@ -3,9 +3,12 @@
 // statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <coroutine>
 #include <cstdint>
+#include <random>
 #include <vector>
 
 #include "sim/oneshot.hpp"
@@ -517,6 +520,132 @@ TEST(Rng, UniformIntBounds) {
 TEST(Rng, Deterministic) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) EXPECT_DOUBLE_EQ(a.uniform(), b.uniform());
+}
+
+// The first draws at seed 42, recorded from a build that drew through
+// libstdc++'s <random> distributions and std::shuffle. They hold on any
+// standard library now that every draw is spelled out.
+TEST(Rng, DrawsMatchPinnedValues) {
+  const std::vector<double> uniform = {
+      0x1.82a3befaddcbcp-1, 0x1.472f1f73724ap-1,  0x1.81192cfe1cbcfp-1,
+      0x1.171621fc50d6ap-3, 0x1.ce79451c9a6c3p-1, 0x1.814dc629c7f4fp-4,
+      0x1.262e1432cba85p-1, 0x1.7dd645e8fadeep-2, 0x1.187273d8bae7fp-2,
+      0x1.8fa32b81059dfp-2, 0x1.95c23685de9fap-7, 0x1.0c232392c1217p-1,
+      0x1.5edbe0cab8d12p-1, 0x1.46512f5c3114fp-1, 0x1.a73187936056bp-1,
+      0x1.e432978fab2edp-1};
+  const std::vector<double> exponential = {
+      0x1.6839cf27d4febp+1, 0x1.04dad7f4d36f5p+1, 0x1.6518f721dc864p+1,
+      0x1.2c073b00cefa3p-2, 0x1.2afc2ebddc163p+2, 0x1.94a643d16da9bp-3,
+      0x1.b5956a434e0d1p+0, 0x1.ddd4297f06367p-1, 0x1.47b66ef1d5197p-1,
+      0x1.fa9d40259d0b2p-1, 0x1.984ab27b98ddap-6, 0x1.7bc29b48f2f9ap+0,
+      0x1.27f283e6e0448p+1, 0x1.03a8247979a28p+1, 0x1.c07a31149229cp+1,
+      0x1.74e3d78356066p+2};
+  const std::vector<std::int64_t> small = {7, 6, 7, 1, 9, 0, 5, 3,
+                                           2, 3, 0, 5, 6, 6, 8, 9};
+  const std::vector<std::int64_t> wide = {
+      830302289262, 702622448055, 826992393997, 149833400197,
+      993154731597, 103429202584, 631746730340, 409994361403,
+      301127759403, 429107372094, 13615000838,  575820384606,
+      753463747931, 700760698391, 908801067440, 1039806482390};
+  const std::vector<std::size_t> zipf = {1044, 327, 1013, 1,   4574, 0,
+                                         172,  22,  8,    26,  0,    103,
+                                         520,  322, 2128, 6983};
+  const auto draws = [](auto draw) {
+    Rng rng(42);
+    std::vector<decltype(draw(rng))> v;
+    for (int i = 0; i < 16; ++i) v.push_back(draw(rng));
+    return v;
+  };
+  EXPECT_EQ(draws([](Rng& r) { return r.uniform(); }), uniform);
+  EXPECT_EQ(draws([](Rng& r) { return r.exponential(2.0); }), exponential);
+  EXPECT_EQ(draws([](Rng& r) { return r.uniform_int(0, 9); }), small);
+  EXPECT_EQ(draws([](Rng& r) { return r.uniform_int(-5, 1LL << 40); }), wide);
+  const ZipfGenerator z(12000, 1.0);
+  EXPECT_EQ(draws([&z](Rng& r) { return z.sample(r); }), zipf);
+
+  Rng rng(42);
+  std::vector<int> v = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  rng.shuffle(v.begin(), v.end());
+  EXPECT_EQ(v, (std::vector<int>{6, 9, 1, 4, 5, 3, 0, 7, 8, 2}));
+}
+
+#ifdef __GLIBCXX__
+// Every draw replays libstdc++'s distribution of the same name on the same
+// engine, across seeds, bounded-integer spans of 0, 2^k - 1, 2^k, 2^k + 1 and
+// 2^64 - 1, and shuffles of odd and even lengths.
+TEST(Rng, DrawsMatchLibstdcxxDistributions) {
+  std::vector<std::uint64_t> spans = {0, UINT64_MAX, UINT64_MAX - 1};
+  for (int k = 1; k < 64; ++k) {
+    const std::uint64_t p = std::uint64_t{1} << k;
+    spans.insert(spans.end(), {p - 1, p, p + 1});
+  }
+  constexpr int kDraws = 1000000;
+  for (const std::uint64_t seed : {1u, 7u, 42u, 1993u}) {
+    Rng rng(seed);
+    std::mt19937_64 eng(seed);
+
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    for (int i = 0; i < kDraws; ++i) ASSERT_EQ(rng.uniform(), unit(eng));
+
+    for (int i = 0; i < kDraws; ++i) {
+      const double mean = 0.25 + (i % 11);
+      std::exponential_distribution<double> d(1.0 / mean);
+      ASSERT_EQ(rng.exponential(mean), d(eng)) << "mean " << mean;
+    }
+
+    for (int i = 0; i < kDraws; ++i) {
+      const std::uint64_t span = spans[static_cast<std::size_t>(i) %
+                                       spans.size()];
+      // Centre the range where it fits, else start at the lowest value.
+      const std::int64_t lo =
+          span < (std::uint64_t{1} << 62)
+              ? -static_cast<std::int64_t>(span / 3) + i % 5
+              : INT64_MIN;
+      const auto hi =
+          static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + span);
+      std::uniform_int_distribution<std::int64_t> d(lo, hi);
+      ASSERT_EQ(rng.uniform_int(lo, hi), d(eng)) << "span " << span;
+    }
+
+    int shuffled = 0;
+    for (std::size_t n = 0; shuffled < kDraws; n = (n + 1) % 40) {
+      std::vector<std::size_t> a(n), b(n);
+      for (std::size_t k = 0; k < n; ++k) a[k] = b[k] = k;
+      rng.shuffle(a.begin(), a.end());
+      std::shuffle(b.begin(), b.end(), eng);
+      ASSERT_EQ(a, b) << "n " << n;
+      shuffled += static_cast<int>(n);
+    }
+  }
+}
+#endif
+
+TEST(Zipf, GuideTableMatchesLowerBound) {
+  Rng rng(5);
+  for (const std::size_t n : {1u, 2u, 17u, 4096u, 4097u, 12000u}) {
+    for (const double theta : {0.0, 0.6, 1.0, 1.5}) {
+      const ZipfGenerator z(n, theta);
+      const std::vector<double>& cdf = z.cdf();
+      ASSERT_EQ(cdf.back(), 1.0);
+      ASSERT_TRUE(std::has_single_bit(z.buckets()));
+      ASSERT_GE(z.buckets(), n);
+      std::vector<double> us = {0.0, std::nextafter(1.0, 0.0)};
+      const double g = static_cast<double>(z.buckets());
+      for (std::size_t j = 0; j < z.buckets(); ++j) {
+        const double edge = static_cast<double>(j) / g;
+        us.push_back(edge);
+        if (j > 0) us.push_back(std::nextafter(edge, 0.0));
+        us.push_back(std::nextafter(edge, 1.0));
+      }
+      for (int i = 0; i < 100000; ++i) us.push_back(rng.uniform());
+      for (const double u : us) {
+        const auto expected = static_cast<std::size_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+        ASSERT_EQ(z.rank(u), expected)
+            << "n " << n << " theta " << theta << " u " << u;
+      }
+    }
+  }
 }
 
 TEST(Zipf, SkewIncreasesHeadMass) {

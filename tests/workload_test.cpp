@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "core/config.hpp"
 #include "workload/debit_credit.hpp"
@@ -105,15 +106,15 @@ Trace tiny_trace() {
   Trace tr;
   tr.num_types = 2;
   tr.num_files = 3;
-  TxnSpec a;
-  a.type = 0;
-  a.affinity_key = 0;
-  a.refs = {{PageId{0, 1}, false}, {PageId{1, 2}, true}};
-  TxnSpec b;
-  b.type = 1;
-  b.affinity_key = 1;
-  b.refs = {{PageId{2, 7}, false}};
-  tr.txns = {a, b, a};
+  for (int type : {0, 1, 0}) {
+    tr.add_txn(type);
+    if (type == 0) {
+      tr.add_ref(0, 1, false);
+      tr.add_ref(1, 2, true);
+    } else {
+      tr.add_ref(2, 7, false);
+    }
+  }
   return tr;
 }
 
@@ -122,19 +123,101 @@ TEST(Trace, SaveLoadRoundTrip) {
   std::stringstream ss;
   tr.save(ss);
   const Trace back = Trace::load(ss);
-  ASSERT_EQ(back.txns.size(), 3u);
+  ASSERT_EQ(back.size(), 3u);
   EXPECT_EQ(back.num_types, 2);
   EXPECT_EQ(back.num_files, 3);
-  EXPECT_EQ(back.txns[0].refs.size(), 2u);
-  EXPECT_EQ(back.txns[0].refs[1].page, (PageId{1, 2}));
-  EXPECT_TRUE(back.txns[0].refs[1].write);
-  EXPECT_FALSE(back.txns[2].refs[0].write);
-  EXPECT_EQ(back.txns[1].type, 1);
+  EXPECT_EQ(back.txn(0).refs.size(), 2u);
+  EXPECT_EQ(back.txn(0).refs[1].page, (PageId{1, 2}));
+  EXPECT_TRUE(back.txn(0).refs[1].write);
+  EXPECT_FALSE(back.txn(2).refs[0].write);
+  EXPECT_EQ(back.txn(1).type, 1);
 }
 
 TEST(Trace, LoadRejectsGarbage) {
   std::stringstream ss("not-a-trace 9");
   EXPECT_THROW(Trace::load(ss), std::runtime_error);
+}
+
+// The load error of `text`, or "loaded" when it loads.
+std::string load_error(const std::string& text) {
+  std::stringstream ss(text);
+  try {
+    Trace::load(ss);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "loaded";
+}
+
+const std::string kHeader = "gemsd-trace 1\ntypes 1\nfiles 1\n";
+
+TEST(Trace, LoadRejectsPartitionOutsideFiles) {
+  // Used to index the per-file tables out of range (segfault).
+  EXPECT_EQ(load_error(kHeader + "t 0 1\nr 7 3\n"),
+            "trace line 5: partition 7 outside [0, 1)");
+  EXPECT_EQ(load_error(kHeader + "t 0 1\nw -1 3\n"),
+            "trace line 5: partition -1 outside [0, 1)");
+}
+
+TEST(Trace, LoadRejectsTypeOutsideTypes) {
+  // Used to index the per-type tables out of range (segfault).
+  EXPECT_EQ(load_error(kHeader + "t 3 1\nr 0 0\n"),
+            "trace line 4: type 3 outside [0, 1)");
+}
+
+TEST(Trace, LoadReservesNothingFromAnnouncedCounts) {
+  // Used to reserve the announced count: std::bad_alloc without a line.
+  EXPECT_EQ(load_error(kHeader + "t 0 99999999999999\nr 0 0\n"),
+            "trace line 4: 't' announces 99999999999999 references, 1 follow");
+}
+
+TEST(Trace, LoadRejectsTransactionCutShort) {
+  // Used to run the missing references as page 0/0.
+  EXPECT_EQ(load_error(kHeader + "t 0 5\nr 0 1\n"),
+            "trace line 4: 't' announces 5 references, 1 follow");
+  EXPECT_EQ(load_error(kHeader + "t 0 2\nr 0 1\nt 0 1\nr 0 2\n"),
+            "trace line 4: 't' announces 2 references, 1 follow");
+  EXPECT_EQ(load_error(kHeader + "t 0 1\nr 0 1\nr 0 2\n"),
+            "trace line 6: reference beyond the 1 announced at line 4");
+}
+
+TEST(Trace, LoadRejectsUnknownModeAndNegativePage) {
+  // "x 0 -5" used to run as a read of page -5.
+  EXPECT_EQ(load_error(kHeader + "t 0 1\nx 0 -5\n"),
+            "trace line 5: unknown record 'x'");
+  EXPECT_EQ(load_error(kHeader + "t 0 1\nr 0 -5\n"),
+            "trace line 5: page -5 outside [0, 140737488355327]");
+  EXPECT_EQ(load_error(kHeader + "t 0 1\nr 0 140737488355328\n"),
+            "trace line 5: page 140737488355328 outside [0, 140737488355327]");
+  EXPECT_EQ(load_error(kHeader + "t 0 1\nr 0 140737488355327\n"), "loaded");
+}
+
+TEST(Trace, LoadRejectsMalformedLines) {
+  EXPECT_EQ(load_error("gemsd-trace 2\ntypes 1\nfiles 1\nt 0 0\n"),
+            "trace line 1: not a gemsd trace (expected 'gemsd-trace 1')");
+  EXPECT_EQ(load_error("gemsd-trace 1\nfiles 1\ntypes 1\nt 0 0\n"),
+            "trace line 2: expected 'types <count>'");
+  EXPECT_EQ(load_error("gemsd-trace 1\ntypes 1\nfiles 0\nt 0 0\n"),
+            "trace line 3: files 0 outside [1, 65536]");
+  EXPECT_EQ(load_error("gemsd-trace 1\ntypes 1\nfiles 65537\nt 0 0\n"),
+            "trace line 3: files 65537 outside [1, 65536]");
+  EXPECT_EQ(load_error("gemsd-trace 1\ntypes 1\n"),
+            "trace line 3: end of file in the header");
+  EXPECT_EQ(load_error(kHeader),
+            "trace line 4: end of file before the first 't'");
+  EXPECT_EQ(load_error(kHeader + "r 0 1\n"),
+            "trace line 4: reference before any 't'");
+  EXPECT_EQ(load_error(kHeader + "t 0 1\nr 0 1x\n"),
+            "trace line 5: malformed page '1x'");
+  EXPECT_EQ(load_error(kHeader + "t zero 1\nr 0 1\n"),
+            "trace line 4: malformed type 'zero'");
+  EXPECT_EQ(load_error(kHeader + "t 0 -1\n"),
+            "trace line 4: malformed reference count '-1'");
+  EXPECT_EQ(load_error(kHeader + "t 0 1\nr 0 1 2\n"),
+            "trace line 5: 'r' takes 2 fields, got 3");
+  EXPECT_EQ(load_error(kHeader + "t 0 1 r 0 1\n"),
+            "trace line 4: 't' takes 2 fields, got 5");
+  EXPECT_EQ(load_error(kHeader + "\nt 0 1\n\nw 0 1\n"), "loaded");
 }
 
 TEST(Trace, StatsComputation) {
@@ -158,18 +241,15 @@ TEST(Trace, ReplayPreservesOrderAndCycles) {
 }
 
 TEST(Heuristics, AffinityRoutingBalancesLoad) {
-  Trace tr = tiny_trace();
+  Trace tr;
+  tr.num_types = 2;
+  tr.num_files = 3;
   // Inflate: type 0 heavy on file 0/1, type 1 on file 2.
-  tr.txns.clear();
   for (int i = 0; i < 100; ++i) {
-    TxnSpec a;
-    a.type = 0;
-    a.refs.assign(10, PageRef{PageId{0, i}, false});
-    tr.txns.push_back(a);
-    TxnSpec b;
-    b.type = 1;
-    b.refs.assign(10, PageRef{PageId{2, i}, false});
-    tr.txns.push_back(b);
+    tr.add_txn(0);
+    for (int k = 0; k < 10; ++k) tr.add_ref(0, i, false);
+    tr.add_txn(1);
+    for (int k = 0; k < 10; ++k) tr.add_ref(2, i, false);
   }
   const auto prof = profile_trace(tr);
   const auto share = make_affinity_routing(prof, 2);
@@ -193,14 +273,10 @@ TEST(Heuristics, GlaFollowsRouting) {
   tr.num_types = 2;
   tr.num_files = 2;
   for (int i = 0; i < 50; ++i) {
-    TxnSpec a;
-    a.type = 0;
-    a.refs.assign(4, PageRef{PageId{0, i}, false});
-    tr.txns.push_back(a);
-    TxnSpec b;
-    b.type = 1;
-    b.refs.assign(4, PageRef{PageId{1, i}, false});
-    tr.txns.push_back(b);
+    tr.add_txn(0);
+    for (int k = 0; k < 4; ++k) tr.add_ref(0, i, false);
+    tr.add_txn(1);
+    for (int k = 0; k < 4; ++k) tr.add_ref(1, i, false);
   }
   const auto prof = profile_trace(tr);
   // Pin the routing: type 0 -> node 0, type 1 -> node 1.
