@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
+#include <span>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
+
+#include "core/parse_number.hpp"
 
 namespace gemsd {
 
@@ -30,72 +33,24 @@ std::string lower(std::string s) {
                            what);
 }
 
-bool parse_bool(const std::string& v, int line) {
-  const std::string l = lower(v);
-  if (l == "true" || l == "yes" || l == "on" || l == "1") return true;
-  if (l == "false" || l == "no" || l == "off" || l == "0") return false;
-  fail(line, "expected a boolean, got '" + v + "'");
+/// The double that `s` reads back as; NaN when it does not parse.
+double reread(const char* s) {
+  double d = std::nan("");
+  parse_number(s, d);
+  return d;
 }
 
-StorageKind parse_storage(const std::string& v, int line) {
-  const std::string l = lower(v);
-  if (l == "disk") return StorageKind::Disk;
-  if (l == "vcache") return StorageKind::DiskVolatileCache;
-  if (l == "nvcache") return StorageKind::DiskNvCache;
-  if (l == "gemcache") return StorageKind::DiskGemCache;
-  if (l == "gem") return StorageKind::Gem;
-  fail(line, "unknown storage kind '" + v + "'");
-}
-
-const char* storage_name(StorageKind k) {
-  switch (k) {
-    case StorageKind::Disk: return "disk";
-    case StorageKind::DiskVolatileCache: return "vcache";
-    case StorageKind::DiskNvCache: return "nvcache";
-    case StorageKind::DiskGemCache: return "gemcache";
-    case StorageKind::Gem: return "gem";
-  }
-  return "disk";
-}
-
-double parse_num(const std::string& v, int line) {
-  if (!v.empty()) {
-    char* end = nullptr;
-    const double d = std::strtod(v.c_str(), &end);
-    if (end && *end == '\0') return d;
-  }
-  fail(line, "expected a number, got '" + v + "'");
-}
-
-int parse_int(const std::string& v, int line) {
-  const double d = parse_num(v, line);
-  const int i = static_cast<int>(d);
-  if (d != static_cast<double>(i)) {
-    fail(line, "expected an integer, got '" + v + "'");
-  }
-  return i;
-}
-
-std::int64_t parse_i64(const std::string& v, int line) {
-  const double d = parse_num(v, line);
-  const auto i = static_cast<std::int64_t>(d);
-  if (d != static_cast<double>(i)) {
-    fail(line, "expected an integer, got '" + v + "'");
-  }
-  return i;
-}
-
-/// Shortest decimal form that strtod round-trips to the same double.
+/// Shortest decimal form that parse_number reads back as the same double.
 /// Integral values print as plain integers ("100", not "1e+02").
 std::string fmt_num(double v) {
-  if (v == static_cast<double>(static_cast<std::int64_t>(v)) &&
-      std::abs(v) < 1e15) {
+  if (std::abs(v) < 1e15 &&
+      v == static_cast<double>(static_cast<std::int64_t>(v))) {
     return std::to_string(static_cast<std::int64_t>(v));
   }
   char buf[40];
   for (int prec = 1; prec <= 17; ++prec) {
     std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
+    if (reread(buf) == v) break;
   }
   return buf;
 }
@@ -106,189 +61,144 @@ std::string fmt_num(double v) {
 std::string fmt_us(double v) {
   const double us = v * 1e6;
   if (const std::string s = std::to_string(std::llround(us));
-      std::strtod(s.c_str(), nullptr) * 1e-6 == v) {
+      reread(s.c_str()) * 1e-6 == v) {
     return s;
   }
   char buf[40];
   for (int prec = 1; prec <= 17; ++prec) {
     std::snprintf(buf, sizeof buf, "%.*g", prec, us);
-    if (std::strtod(buf, nullptr) * 1e-6 == v) break;
+    if (reread(buf) * 1e-6 == v) break;
   }
   return buf;
 }
 
-std::string fmt_int(std::int64_t v) { return std::to_string(v); }
-std::string fmt_bool(bool v) { return v ? "true" : "false"; }
-
-/// The scalar [system] key table — one entry drives both the parser and the
-/// exporter, so the two can never drift apart.
-struct KeyDef {
-  const char* key;
-  void (*set)(SystemConfig&, const std::string&, int line);
-  std::string (*get)(const SystemConfig&);
+/// A seconds field that the spec writes in microseconds.
+template <typename D>
+struct Micros {
+  D& seconds;
 };
+template <typename D>
+Micros(D&) -> Micros<D>;
 
-const KeyDef kSystemKeys[] = {
-    {"nodes",
-     [](SystemConfig& c, const std::string& v, int l) {
-       c.nodes = parse_int(v, l);
-     },
-     [](const SystemConfig& c) { return fmt_int(c.nodes); }},
-    {"tps",
-     [](SystemConfig& c, const std::string& v, int l) {
-       c.arrival_rate_per_node = parse_num(v, l);
-       if (!(std::isfinite(c.arrival_rate_per_node) &&
-             c.arrival_rate_per_node > 0)) {
-         fail(l, "tps must be a finite number > 0, got '" + v + "'");
-       }
-     },
-     [](const SystemConfig& c) { return fmt_num(c.arrival_rate_per_node); }},
-    {"coupling",
-     [](SystemConfig& c, const std::string& v, int l) {
-       const std::string s = lower(v);
-       if (s == "gem") c.coupling = Coupling::GemLocking;
-       else if (s == "pcl") c.coupling = Coupling::PrimaryCopy;
-       else if (s == "engine") c.coupling = Coupling::LockEngine;
-       else fail(l, "unknown coupling '" + v + "'");
-     },
-     [](const SystemConfig& c) -> std::string {
-       switch (c.coupling) {
-         case Coupling::GemLocking: return "gem";
-         case Coupling::PrimaryCopy: return "pcl";
-         case Coupling::LockEngine: return "engine";
-       }
-       return "gem";
-     }},
-    {"update",
-     [](SystemConfig& c, const std::string& v, int l) {
-       const std::string s = lower(v);
-       if (s == "force") c.update = UpdateStrategy::Force;
-       else if (s == "noforce") c.update = UpdateStrategy::NoForce;
-       else fail(l, "unknown update strategy '" + v + "'");
-     },
-     [](const SystemConfig& c) -> std::string {
-       return c.update == UpdateStrategy::Force ? "force" : "noforce";
-     }},
-    {"routing",
-     [](SystemConfig& c, const std::string& v, int l) {
-       const std::string s = lower(v);
-       if (s == "affinity") c.routing = Routing::Affinity;
-       else if (s == "random") c.routing = Routing::Random;
-       else fail(l, "unknown routing '" + v + "'");
-     },
-     [](const SystemConfig& c) -> std::string {
-       return c.routing == Routing::Affinity ? "affinity" : "random";
-     }},
-    {"buffer",
-     [](SystemConfig& c, const std::string& v, int l) {
-       c.buffer_pages = parse_int(v, l);
-       if (c.buffer_pages < 1) {
-         fail(l, "buffer must be >= 1, got '" + v + "'");
-       }
-     },
-     [](const SystemConfig& c) { return fmt_int(c.buffer_pages); }},
-    {"mpl",
-     [](SystemConfig& c, const std::string& v, int l) {
-       c.mpl = parse_int(v, l);
-     },
-     [](const SystemConfig& c) { return fmt_int(c.mpl); }},
-    {"warmup",
-     [](SystemConfig& c, const std::string& v, int l) {
-       c.warmup = parse_num(v, l);
-       if (!(std::isfinite(c.warmup) && c.warmup >= 0)) {
-         fail(l, "warmup must be a finite number >= 0, got '" + v + "'");
-       }
-     },
-     [](const SystemConfig& c) { return fmt_num(c.warmup); }},
-    {"measure",
-     [](SystemConfig& c, const std::string& v, int l) {
-       c.measure = parse_num(v, l);
-       if (!(std::isfinite(c.measure) && c.measure > 0)) {
-         fail(l, "measure must be a finite number > 0, got '" + v + "'");
-       }
-     },
-     [](const SystemConfig& c) { return fmt_num(c.measure); }},
-    {"seed",
-     [](SystemConfig& c, const std::string& v, int l) {
-       const std::int64_t s = parse_i64(v, l);
-       if (s < 0) fail(l, "seed must be non-negative");
-       c.seed = static_cast<std::uint64_t>(s);
-     },
-     [](const SystemConfig& c) {
-       return fmt_int(static_cast<std::int64_t>(c.seed));
-     }},
-    {"log",
-     [](SystemConfig& c, const std::string& v, int l) {
-       c.log_storage = parse_storage(v, l) == StorageKind::Gem
-                           ? StorageKind::Gem
-                           : StorageKind::Disk;
-     },
-     [](const SystemConfig& c) -> std::string {
-       return c.log_storage == StorageKind::Gem ? "gem" : "disk";
-     }},
-    {"log_disks",
-     [](SystemConfig& c, const std::string& v, int l) {
-       c.log_disks_per_node = parse_int(v, l);
-       if (c.log_disks_per_node < 1) {
-         fail(l, "log_disks must be >= 1, got '" + v + "'");
-       }
-     },
-     [](const SystemConfig& c) { return fmt_int(c.log_disks_per_node); }},
-    {"group_commit",
-     [](SystemConfig& c, const std::string& v, int l) {
-       c.log_group_commit = parse_bool(v, l);
-     },
-     [](const SystemConfig& c) { return fmt_bool(c.log_group_commit); }},
-    {"pcl_read_opt",
-     [](SystemConfig& c, const std::string& v, int l) {
-       c.pcl_read_optimization = parse_bool(v, l);
-     },
-     [](const SystemConfig& c) { return fmt_bool(c.pcl_read_optimization); }},
-    {"gem_read_auth",
-     [](SystemConfig& c, const std::string& v, int l) {
-       c.gem_read_authorizations = parse_bool(v, l);
-     },
-     [](const SystemConfig& c) {
-       return fmt_bool(c.gem_read_authorizations);
-     }},
-    {"transport",
-     [](SystemConfig& c, const std::string& v, int l) {
-       const std::string s = lower(v);
-       if (s == "network") c.comm.transport = MsgTransport::Network;
-       else if (s == "gem") c.comm.transport = MsgTransport::GemStore;
-       else fail(l, "unknown transport '" + v + "'");
-     },
-     [](const SystemConfig& c) -> std::string {
-       return c.comm.transport == MsgTransport::GemStore ? "gem" : "network";
-     }},
-    {"cpu_procs",
-     [](SystemConfig& c, const std::string& v, int l) {
-       c.cpu.processors = parse_int(v, l);
-     },
-     [](const SystemConfig& c) { return fmt_int(c.cpu.processors); }},
-    {"gem_entry_us",
-     [](SystemConfig& c, const std::string& v, int l) {
-       c.gem.entry_access = parse_num(v, l) * 1e-6;
-     },
-     [](const SystemConfig& c) { return fmt_us(c.gem.entry_access); }},
-    {"msg_short_instr",
-     [](SystemConfig& c, const std::string& v, int l) {
-       c.comm.short_instr = parse_num(v, l);
-     },
-     [](const SystemConfig& c) { return fmt_num(c.comm.short_instr); }},
-    {"msg_long_instr",
-     [](SystemConfig& c, const std::string& v, int l) {
-       c.comm.long_instr = parse_num(v, l);
-     },
-     [](const SystemConfig& c) { return fmt_num(c.comm.long_instr); }},
-    {"lock_engine_us",
-     [](SystemConfig& c, const std::string& v, int l) {
-       c.lock_engine_service = parse_num(v, l) * 1e-6;
-     },
-     [](const SystemConfig& c) {
-       return fmt_us(c.lock_engine_service);
-     }},
+/// The spec names of an enum's (or a bool's) values; a value prints as the
+/// first name that maps to it.
+template <typename E>
+using Names = std::span<const std::pair<const char*, E>>;
+
+constexpr std::pair<const char*, bool> kBools[] = {
+    {"true", true}, {"false", false}, {"yes", true}, {"no", false},
+    {"on", true},   {"off", false},   {"1", true},   {"0", false}};
+constexpr std::pair<const char*, Coupling> kCouplings[] = {
+    {"gem", Coupling::GemLocking},
+    {"pcl", Coupling::PrimaryCopy},
+    {"engine", Coupling::LockEngine}};
+constexpr std::pair<const char*, UpdateStrategy> kUpdates[] = {
+    {"noforce", UpdateStrategy::NoForce}, {"force", UpdateStrategy::Force}};
+constexpr std::pair<const char*, Routing> kRoutings[] = {
+    {"affinity", Routing::Affinity}, {"random", Routing::Random}};
+constexpr std::pair<const char*, StorageKind> kLogDevices[] = {
+    {"disk", StorageKind::Disk}, {"gem", StorageKind::Gem}};
+constexpr std::pair<const char*, StorageKind> kStorages[] = {
+    {"disk", StorageKind::Disk},
+    {"vcache", StorageKind::DiskVolatileCache},
+    {"nvcache", StorageKind::DiskNvCache},
+    {"gemcache", StorageKind::DiskGemCache},
+    {"gem", StorageKind::Gem}};
+constexpr std::pair<const char*, MsgTransport> kTransports[] = {
+    {"network", MsgTransport::Network}, {"gem", MsgTransport::GemStore}};
+
+/// An enum or bool field together with its spec names.
+template <typename E>
+struct Named {
+  E& value;
+  Names<std::remove_const_t<E>> names;
 };
+template <typename E>
+Named<E> named(E& value, Names<std::remove_const_t<E>> names) {
+  return {value, names};
+}
+
+/// Every scalar [system] key with the field it sets, in export order: one
+/// list drives both the parser and the exporter, so the two cannot drift
+/// apart. Calls f(key, field) with an arithmetic field, a Micros or a Named.
+template <typename Config, typename F>
+void for_each_system_key(Config& c, F&& f) {
+  f("nodes", c.nodes);
+  f("tps", c.arrival_rate_per_node);
+  f("coupling", named(c.coupling, kCouplings));
+  f("update", named(c.update, kUpdates));
+  f("routing", named(c.routing, kRoutings));
+  f("buffer", c.buffer_pages);
+  f("mpl", c.mpl);
+  f("warmup", c.warmup);
+  f("measure", c.measure);
+  f("seed", c.seed);
+  f("log", named(c.log_storage, kLogDevices));
+  f("log_disks", c.log_disks_per_node);
+  f("group_commit", named(c.log_group_commit, kBools));
+  f("pcl_read_opt", named(c.pcl_read_optimization, kBools));
+  f("gem_read_auth", named(c.gem_read_authorizations, kBools));
+  f("transport", named(c.comm.transport, kTransports));
+  f("cpu_procs", c.cpu.processors);
+  f("gem_entry_us", Micros{c.gem.entry_access});
+  f("msg_short_instr", c.comm.short_instr);
+  f("msg_long_instr", c.comm.long_instr);
+  f("lock_engine_us", Micros{c.lock_engine_service});
+}
+
+/// Read a spec value into a field. Syntax only: ranges are validate()'s.
+template <typename T>
+  requires std::is_arithmetic_v<T>
+void read(const SpecKey& k, T& field) {
+  if (!parse_number(k.value, field)) {
+    fail(k.line, k.key + ": expected " +
+                     (std::is_floating_point_v<T> ? "a number"
+                      : std::is_signed_v<T>       ? "an integer"
+                                                  : "a non-negative integer") +
+                     ", got '" + k.value + "'");
+  }
+}
+
+template <typename D>
+void read(const SpecKey& k, Micros<D> f) {
+  double us = 0;
+  read(k, us);
+  f.seconds = us * 1e-6;
+}
+
+template <typename E>
+void read(const SpecKey& k, Named<E> f) {
+  const std::string v = lower(k.value);
+  for (const auto& [name, value] : f.names) {
+    if (v == name) {
+      f.value = value;
+      return;
+    }
+  }
+  std::string msg = k.key + ": expected";
+  const char* sep = " ";
+  for (const auto& n : f.names) {
+    msg += sep;
+    msg += n.first;
+    sep = " | ";
+  }
+  fail(k.line, msg + ", got '" + k.value + "'");
+}
+
+std::string show(int v) { return std::to_string(v); }
+std::string show(std::uint64_t v) { return std::to_string(v); }
+std::string show(double v) { return fmt_num(v); }
+template <typename D>
+std::string show(Micros<D> f) {
+  return fmt_us(f.seconds);
+}
+template <typename E>
+std::string show(Named<E> f) {
+  for (const auto& [name, value] : f.names) {
+    if (value == f.value) return name;
+  }
+  return "?";
+}
 
 PartitionConfig* find_partition(SystemConfig& cfg, const std::string& name) {
   for (auto& pc : cfg.partitions) {
@@ -300,43 +210,63 @@ PartitionConfig* find_partition(SystemConfig& cfg, const std::string& name) {
 /// Apply one raw key onto the config. Partition names are case-sensitive
 /// (they are data, not syntax); everything else is lower-cased by the
 /// caller.
-void apply_one(SystemConfig& cfg, const std::string& key,
-               const std::string& val, int line) {
-  // Conditionally-emitted scalar keys (spec_keys writes them only when they
-  // differ from the default, like the per-partition keys below, so shipped
-  // single-GEM specs keep their exact bytes).
-  if (key == "gem_shards") {
-    cfg.gem.shards = parse_int(val, line);
-    if (cfg.gem.shards < 1) fail(line, "gem_shards must be >= 1");
-    return;
-  }
-  const auto dot = key.find('.');
+void apply_one(SystemConfig& cfg, const SpecKey& k) {
+  // Emitted by spec_keys only when it differs from the default, like the
+  // per-partition keys below, so shipped single-GEM specs keep their bytes.
+  if (k.key == "gem_shards") return read(k, cfg.gem.shards);
+  const auto dot = k.key.find('.');
   if (dot != std::string::npos) {
-    const std::string field = key.substr(0, dot);
-    const std::string pname = key.substr(dot + 1);
+    const std::string field = k.key.substr(0, dot);
+    const std::string pname = k.key.substr(dot + 1);
     PartitionConfig* pc = find_partition(cfg, pname);
-    if (!pc) fail(line, "unknown partition '" + pname + "'");
-    if (field == "storage") {
-      pc->storage = parse_storage(val, line);
-      return;
+    if (!pc) fail(k.line, "unknown partition '" + pname + "'");
+    if (field == "storage") return read(k, named(pc->storage, kStorages));
+    if (field == "disk_cache_pages") return read(k, pc->disk_cache_pages);
+    if (field == "gem_cache_pages") return read(k, pc->gem_cache_pages);
+    if (field != "cache_pages") {
+      fail(k.line, "unknown partition key '" + field + "'");
     }
-    if (field != "cache_pages" && field != "disk_cache_pages" &&
-        field != "gem_cache_pages") {
-      fail(line, "unknown partition key '" + field + "'");
-    }
-    const std::int64_t pages = parse_i64(val, line);
-    if (pages < 0) fail(line, key + " must be >= 0, got '" + val + "'");
-    if (field != "gem_cache_pages") pc->disk_cache_pages = pages;
-    if (field != "disk_cache_pages") pc->gem_cache_pages = pages;
+    read(k, pc->disk_cache_pages);
+    pc->gem_cache_pages = pc->disk_cache_pages;
     return;
   }
-  for (const KeyDef& def : kSystemKeys) {
-    if (key == def.key) {
-      def.set(cfg, val, line);
-      return;
+  bool known = false;
+  for_each_system_key(cfg, [&](const char* key, auto&& field) {
+    if (!known && k.key == key) {
+      read(k, field);
+      known = true;
     }
+  });
+  if (!known) fail(k.line, "unknown [system] key '" + k.key + "'");
+}
+
+/// Whether spec key `key` sets the field validate() reports as `field`:
+/// itself, or `cache_pages.<P>` for `disk_cache_pages.<P>` and
+/// `gem_cache_pages.<P>`.
+bool sets(const std::string& key, const std::string& field) {
+  const auto dot = field.find('.');
+  const std::string kind = field.substr(0, dot);
+  return key == field || ((kind == "disk_cache_pages" ||
+                           kind == "gem_cache_pages") &&
+                          key == "cache_pages" + field.substr(dot));
+}
+
+/// Validate a resolved run: one error lists every violation, each on the
+/// line of the key that last set the field.
+void check(const SystemConfig& cfg, const SpecKeyValues& keys) {
+  const std::vector<ConfigError> errors = validate(cfg);
+  if (errors.empty()) return;
+  std::string msg = "run spec";
+  for (const ConfigError& e : errors) {
+    int line = 0;
+    for (const SpecKey& k : keys) {
+      if (sets(k.key, e.key)) line = k.line;
+    }
+    msg += &e == &errors.front() ? ", " : "; ";
+    if (line) msg += "line " + std::to_string(line) + ": ";
+    msg += e.key + ": " + e.message;
   }
-  fail(line, "unknown [system] key '" + key + "'");
+  throw std::runtime_error(msg);
 }
 
 }  // namespace
@@ -391,8 +321,9 @@ SpecDoc parse_spec_doc(std::istream& in) {
       } else if (lkey == "trace_file") {
         proto.trace_file = val;
       } else if (lkey == "trace_txns") {
-        const std::int64_t txns = parse_i64(val, line);
-        if (txns < 1) fail(line, "trace_txns must be >= 1, got '" + val + "'");
+        std::int64_t txns = 0;
+        read({lkey, val, line}, txns);
+        if (txns < 1) fail(line, "trace_txns: must be >= 1, got " + val);
         proto.trace_txns = static_cast<std::size_t>(txns);
       } else {
         fail(line, "unknown [workload] key '" + key + "'");
@@ -430,14 +361,16 @@ SpecDoc parse_spec_doc(std::istream& in) {
     spec.keys.insert(spec.keys.end(), extra.begin(), extra.end());
     for (const SpecKey& k : spec.keys) {
       // Trace runs rebuild their partitions from the trace later; their
-      // partition keys cannot be validated against the debit-credit
-      // schema, so application is deferred to apply_spec_keys.
+      // partition keys cannot be applied to the debit-credit schema, so
+      // they, and the validation of the resolved run, wait for
+      // apply_spec_keys.
       if (spec.kind == RunSpec::Kind::Trace &&
           k.key.find('.') != std::string::npos) {
         continue;
       }
-      apply_one(spec.cfg, k.key, k.value, k.line);
+      apply_one(spec.cfg, k);
     }
+    if (spec.kind == RunSpec::Kind::DebitCredit) check(spec.cfg, spec.keys);
     doc.runs.push_back(std::move(spec));
   }
   return doc;
@@ -446,7 +379,11 @@ SpecDoc parse_spec_doc(std::istream& in) {
 SpecDoc parse_spec_doc_file(const std::string& path) {
   std::ifstream f(path);
   if (!f) throw std::runtime_error("cannot open run spec: " + path);
-  return parse_spec_doc(f);
+  try {
+    return parse_spec_doc(f);
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(path + ": " + e.what());
+  }
 }
 
 RunSpec parse_run_spec(std::istream& in) {
@@ -459,38 +396,93 @@ RunSpec parse_run_spec(std::istream& in) {
   return std::move(doc.runs.front());
 }
 
-RunSpec parse_run_spec_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw std::runtime_error("cannot open run spec: " + path);
-  return parse_run_spec(f);
-}
-
 void apply_spec_keys(SystemConfig& cfg, const SpecKeyValues& keys) {
-  for (const SpecKey& k : keys) apply_one(cfg, k.key, k.value, k.line);
+  for (const SpecKey& k : keys) apply_one(cfg, k);
+  check(cfg, keys);
 }
 
 SpecKeyValues spec_keys(const SystemConfig& cfg) {
   SpecKeyValues out;
-  for (const KeyDef& def : kSystemKeys) {
-    out.push_back({def.key, def.get(cfg)});
-  }
+  for_each_system_key(cfg, [&out](const char* key, auto&& field) {
+    out.push_back({key, show(field)});
+  });
   if (cfg.gem.shards != 1) {
-    out.push_back({"gem_shards", fmt_int(cfg.gem.shards)});
+    out.push_back({"gem_shards", show(cfg.gem.shards)});
   }
   for (const auto& pc : cfg.partitions) {
     if (pc.storage != StorageKind::Disk) {
-      out.push_back({"storage." + pc.name, storage_name(pc.storage)});
+      out.push_back({"storage." + pc.name, show(named(pc.storage, kStorages))});
     }
     if (pc.disk_cache_pages != 0) {
-      out.push_back(
-          {"disk_cache_pages." + pc.name, fmt_int(pc.disk_cache_pages)});
+      out.push_back({"disk_cache_pages." + pc.name,
+                     std::to_string(pc.disk_cache_pages)});
     }
     if (pc.gem_cache_pages != 0) {
-      out.push_back(
-          {"gem_cache_pages." + pc.name, fmt_int(pc.gem_cache_pages)});
+      out.push_back({"gem_cache_pages." + pc.name,
+                     std::to_string(pc.gem_cache_pages)});
     }
   }
   return out;
+}
+
+std::vector<ConfigError> validate(const SystemConfig& c) {
+  std::vector<ConfigError> errors;
+  // Counts become capacities and loop bounds: a zero buffer evicts from an
+  // empty LRU forever, a negative one wraps to an unbounded buffer, and a
+  // station (CPU, log group, GEM shard) needs at least one server.
+  const auto at_least_one = [&errors](const char* key, std::int64_t v) {
+    if (v < 1) {
+      errors.push_back({key, "must be >= 1, got " + std::to_string(v)});
+    }
+  };
+  // Times and costs become event times and service times: a non-finite one
+  // never ends or never starts, a negative one moves the clock back or runs
+  // as free hardware, and a zero rate makes arrivals that never advance time.
+  const auto finite = [&errors](const char* key, double v, bool positive,
+                                std::string (*fmt)(double) = fmt_num) {
+    if (std::isfinite(v) && (positive ? v > 0 : v >= 0)) return;
+    errors.push_back({key, std::string("must be a finite number ") +
+                               (positive ? "> 0" : ">= 0") + ", got " +
+                               fmt(v)});
+  };
+  at_least_one("nodes", c.nodes);
+  finite("tps", c.arrival_rate_per_node, true);
+  // [Yu87]'s coherency scheme (broadcast invalidation, storage always
+  // current) is only sound with FORCE.
+  if (c.coupling == Coupling::LockEngine &&
+      c.update != UpdateStrategy::Force) {
+    errors.push_back({"coupling", "engine requires update = force"});
+  }
+  at_least_one("buffer", c.buffer_pages);
+  at_least_one("mpl", c.mpl);
+  finite("warmup", c.warmup, false);
+  finite("measure", c.measure, true);
+  at_least_one("log_disks", c.log_disks_per_node);
+  at_least_one("cpu_procs", c.cpu.processors);
+  finite("gem_entry_us", c.gem.entry_access, false, fmt_us);
+  finite("msg_short_instr", c.comm.short_instr, false);
+  finite("msg_long_instr", c.comm.long_instr, false);
+  finite("lock_engine_us", c.lock_engine_service, false, fmt_us);
+  at_least_one("gem_shards", c.gem.shards);
+  for (const PartitionConfig& pc : c.partitions) {
+    // A cache the storage kind uses needs a page; zero ran as one page.
+    const auto pages = [&](const char* field, std::int64_t n, bool used) {
+      if (n < 0) {
+        errors.push_back({field + ("." + pc.name),
+                          "must be >= 0, got " + std::to_string(n)});
+      } else if (n == 0 && used) {
+        errors.push_back({"storage." + pc.name,
+                          show(named(pc.storage, kStorages)) + " needs " +
+                              field + "." + pc.name + " >= 1, got 0"});
+      }
+    };
+    pages("disk_cache_pages", pc.disk_cache_pages,
+          pc.storage == StorageKind::DiskVolatileCache ||
+              pc.storage == StorageKind::DiskNvCache);
+    pages("gem_cache_pages", pc.gem_cache_pages,
+          pc.storage == StorageKind::DiskGemCache);
+  }
+  return errors;
 }
 
 }  // namespace gemsd

@@ -1,6 +1,5 @@
 #include "core/experiment.hpp"
 
-#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -9,6 +8,7 @@
 #include <regex>
 #include <stdexcept>
 
+#include "core/parse_number.hpp"
 #include "obs/fingerprint.hpp"
 #include "obs/json.hpp"
 #include "obs/memory.hpp"
@@ -89,30 +89,6 @@ bool value_of(const std::string& a, const char* flag, std::string& out) {
 
 }  // namespace
 
-bool to_double(const std::string& v, double& out) {
-  if (v.empty()) return false;
-  char* end = nullptr;
-  out = std::strtod(v.c_str(), &end);
-  return end && *end == '\0';
-}
-
-bool to_int(const std::string& v, int& out) {
-  double d;
-  if (!to_double(v, d) || !(d >= INT_MIN && d <= INT_MAX) ||
-      d != static_cast<double>(static_cast<int>(d))) {
-    return false;
-  }
-  out = static_cast<int>(d);
-  return true;
-}
-
-bool to_u64(const std::string& v, std::uint64_t& out) {
-  if (v.empty()) return false;
-  char* end = nullptr;
-  out = std::strtoull(v.c_str(), &end, 10);
-  return end && *end == '\0';
-}
-
 std::string try_parse_bench_args(const std::vector<std::string>& args,
                                  BenchOptions& o) {
   for (const std::string& a : args) {
@@ -122,23 +98,23 @@ std::string try_parse_bench_args(const std::vector<std::string>& args,
       o.warmup = 2.0;
       o.measure = 6.0;
     } else if (value_of(a, "--measure", v)) {
-      num_ok = to_double(v, o.measure) && std::isfinite(o.measure) &&
+      num_ok = parse_number(v, o.measure) && std::isfinite(o.measure) &&
                o.measure > 0;
     } else if (value_of(a, "--warmup", v)) {
-      num_ok = to_double(v, o.warmup) && std::isfinite(o.warmup) &&
+      num_ok = parse_number(v, o.warmup) && std::isfinite(o.warmup) &&
                o.warmup >= 0;
     } else if (value_of(a, "--max-nodes", v)) {
-      num_ok = to_int(v, o.max_nodes);
+      num_ok = parse_number(v, o.max_nodes) && o.max_nodes >= 1;
     } else if (value_of(a, "--jobs", v)) {
-      num_ok = to_int(v, o.jobs);
+      num_ok = parse_number(v, o.jobs);
     } else if (value_of(a, "--seed", v)) {
-      num_ok = to_u64(v, o.seed);
+      num_ok = parse_number(v, o.seed);
     } else if (a == "--full") {
       o.full = true;
     } else if (a == "--csv") {
       o.csv = true;
     } else if (value_of(a, "--slow-k", v)) {
-      num_ok = to_int(v, o.slow_k);
+      num_ok = parse_number(v, o.slow_k);
     } else if (value_of(a, "--metrics-json", v)) {
       o.metrics_json = v;
     } else if (a == "--no-json") {
@@ -146,11 +122,9 @@ std::string try_parse_bench_args(const std::vector<std::string>& args,
     } else if (value_of(a, "--trace", v)) {
       o.trace_file = v;
     } else if (value_of(a, "--trace-run", v)) {
-      num_ok = to_int(v, o.trace_run);
+      num_ok = parse_number(v, o.trace_run);
     } else if (value_of(a, "--trace-capacity", v)) {
-      std::uint64_t cap = 0;
-      num_ok = to_u64(v, cap);
-      o.trace_capacity = static_cast<std::size_t>(cap);
+      num_ok = parse_number(v, o.trace_capacity);
     } else if (value_of(a, "--trace-filter", v)) {
       // Validate here: a bad regex must refuse to start the sweep, not throw
       // out of a worker thread mid-run.
@@ -165,7 +139,7 @@ std::string try_parse_bench_args(const std::vector<std::string>& args,
     } else if (a == "--progress") {
       o.progress_every_s = 10.0;
     } else if (value_of(a, "--progress", v)) {
-      num_ok = to_double(v, o.progress_every_s) && o.progress_every_s > 0;
+      num_ok = parse_number(v, o.progress_every_s) && o.progress_every_s > 0;
     } else if (a == "--timeseries") {
       o.timeseries = true;
     } else if (value_of(a, "--timeseries", v)) {
@@ -173,7 +147,8 @@ std::string try_parse_bench_args(const std::vector<std::string>& args,
       o.timeseries_file = v;
     } else if (value_of(a, "--timeseries-window", v)) {
       o.timeseries = true;
-      num_ok = to_double(v, o.timeseries_window) && o.timeseries_window > 0;
+      num_ok =
+          parse_number(v, o.timeseries_window) && o.timeseries_window > 0;
     } else if (a == "--resources") {
       o.resources = true;
     } else if (value_of(a, "--resources", v)) {
@@ -200,9 +175,9 @@ std::string bench_usage() {
       "  --warmup=S         warm-up seconds, finite and >= 0 (default 5, the\n"
       "                     SystemConfig::warmup default; check it after the\n"
       "                     fact with gemsd_analyze --timeseries)\n"
-      "  --max-nodes=N      cap the node sweep\n"
+      "  --max-nodes=N      cap the node sweep, >= 1\n"
       "  --jobs=N           worker threads (0 = hardware_concurrency)\n"
-      "  --seed=S           simulation seed\n"
+      "  --seed=S           simulation seed, 0 .. 2^64 - 1\n"
       "  --full             verbose per-run diagnostics\n"
       "  --csv              machine-readable output\n"
       "  --slow-k=K         record the K slowest transactions per run\n"

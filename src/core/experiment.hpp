@@ -27,7 +27,7 @@ RunResult run_trace(const SystemConfig& cfg, const workload::Trace& trace);
 ///   --quick            shorter measurement interval (CI-friendly)
 ///   --measure=S        measurement seconds
 ///   --warmup=S         warm-up seconds
-///   --max-nodes=N      cap the node sweep
+///   --max-nodes=N      cap the node sweep (>= 1)
 ///   --jobs=N           run the sweep's simulations on N worker threads
 ///                      (default: hardware_concurrency; 1 = serial)
 ///   --full             verbose per-run diagnostics
@@ -81,19 +81,13 @@ struct BenchOptions {
   bool resources = false;
   std::string resources_file;        ///< "" = results/RESOURCES_<bench>.json
 };
-/// Parse the shared flags into `o`. Returns "" on success, or an error
-/// message for an unknown flag or a malformed value ("--warmup 5" space
-/// form included — every value flag takes `=`). `o` is left with whatever
-/// was parsed up to the offending argument.
+/// Parse the shared flags into `o`, every number through parse_number.
+/// Returns "" on success, or an error message for an unknown flag or a
+/// malformed or out-of-range value ("--warmup 5" space form included —
+/// every value flag takes `=`). `o` is left with whatever was parsed up to
+/// the offending argument.
 std::string try_parse_bench_args(const std::vector<std::string>& args,
                                  BenchOptions& o);
-
-/// Strict number parsing for every CLI flag: the whole of `v` must be the
-/// number (no trailing text, not empty); to_int also requires an integral
-/// value in int range. On false `out` is unspecified.
-bool to_double(const std::string& v, double& out);
-bool to_int(const std::string& v, int& out);
-bool to_u64(const std::string& v, std::uint64_t& out);
 
 /// One usage block listing every shared flag (callers prepend their own).
 std::string bench_usage();

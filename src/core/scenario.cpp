@@ -104,19 +104,11 @@ std::size_t scenario_cell_count(const Scenario& sc, const BenchOptions& opt) {
   return product(eff, 0, eff.size());
 }
 
-static std::shared_ptr<const workload::Trace> make_scenario_trace(
-    const Scenario& sc) {
-  sim::Rng rng(7);
-  workload::SyntheticTraceConfig tc;
-  tc.transactions = sc.trace_txns;
-  return std::make_shared<const workload::Trace>(
-      workload::generate_synthetic_trace(tc, rng));
-}
-
 ScenarioPlan build_scenario_plan(const Scenario& sc, const BenchOptions& opt) {
   ScenarioPlan plan;
   if (sc.workload == Scenario::WorkloadKind::Trace) {
-    plan.trace = make_scenario_trace(sc);
+    plan.trace = std::make_shared<const workload::Trace>(
+        workload::standard_synthetic_trace());
     for (int f = 0; f < plan.trace->num_files; ++f) {
       plan.partition_names.push_back("F" + std::to_string(f));
     }
@@ -146,7 +138,7 @@ ScenarioPlan build_scenario_plan(const Scenario& sc, const BenchOptions& opt) {
     }
   }
   if (sc.tweak) sc.tweak(base);
-  if (sc.stamp_time) {
+  if (!sc.cell) {  // a cell hook drives the clock itself
     base.warmup = opt.warmup;
     base.measure = opt.measure;
   }
@@ -310,7 +302,7 @@ void emit_scenario(const Scenario& sc, const BenchOptions& opt,
 }
 
 std::string export_scenario_spec(const Scenario& sc, const BenchOptions& opt) {
-  if (!sc.exportable) {
+  if (!sc.exportable()) {
     throw std::runtime_error("scenario " + sc.name +
                              " is not expressible as a run spec");
   }
@@ -354,7 +346,8 @@ std::string export_scenario_spec(const Scenario& sc, const BenchOptions& opt) {
                                                        : "debit_credit")
       << "\n";
   if (sc.workload == Scenario::WorkloadKind::Trace) {
-    out << "trace_txns = " << sc.trace_txns << "\n";
+    out << "trace_txns = " << workload::SyntheticTraceConfig{}.transactions
+        << "\n";
   }
   out << "\n[system]\n";
   for (const SpecKey& k : kvs.front()) {

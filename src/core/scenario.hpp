@@ -83,17 +83,9 @@ struct Scenario {
   std::function<void(SystemConfig&)> tweak;
   std::vector<Dim> dims;
 
-  /// Stamp --warmup/--measure (and --seed) onto every cell. Off only for
-  /// scenarios that drive the clock themselves (availability timeline,
-  /// fixed-transaction-count drains).
-  bool stamp_time = true;
+  /// Stamp --seed onto every cell (--warmup/--measure are stamped on every
+  /// scenario without a `cell` hook; a cell hook drives the clock itself).
   bool stamp_seed = true;
-
-  /// Whether the grid is expressible as a specs/*.ini file that gemsd_run
-  /// reproduces bit-identically (--export-spec). False for custom workloads
-  /// and failure-injection timelines.
-  bool exportable = true;
-  std::size_t trace_txns = 17500;  ///< synthetic trace size (trace kind)
 
   std::string note;      ///< context paragraph printed after the tables
   std::string note_pre;  ///< printed before the tables (non-CSV)
@@ -114,6 +106,12 @@ struct Scenario {
   /// Print-only scenario (no simulations), e.g. the Table 4.1 parameter
   /// listing.
   std::function<void()> report;
+
+  /// Whether the grid is expressible as a specs/*.ini file that gemsd_run
+  /// reproduces bit-identically (--export-spec): exactly the scenarios
+  /// without a custom `cell` (custom workloads, failure timelines) or
+  /// `report` hook.
+  bool exportable() const { return !cell && !report; }
 };
 
 /// The compiled-in scenario registry: every paper figure (4.1-4.7, Table
@@ -135,7 +133,7 @@ std::size_t scenario_cell_count(const Scenario& sc, const BenchOptions& opt);
 /// Expand the grid: apply --max-nodes filtering/clamping, build every cell's
 /// config (base -> warmup/measure/seed -> dimension mutators, outermost
 /// dimension first), compute output groups, and resolve partition names
-/// (generating the shared synthetic trace for trace scenarios).
+/// (generating workload::standard_synthetic_trace() for trace scenarios).
 ScenarioPlan build_scenario_plan(const Scenario& sc, const BenchOptions& opt);
 
 /// Run every cell on the sweep pool (bit-identical at any --jobs count,

@@ -187,7 +187,6 @@ std::vector<Scenario> build_registry() {
     sc.caption = "Table 4.1: parameter settings (debit-credit)";
     sc.doc = "Parameter settings of the debit-credit experiments, paper "
              "table vs instantiated values (print-only).";
-    sc.exportable = false;
     sc.report = [] {
       const SystemConfig c = make_debit_credit_config();
       std::printf("== Table 4.1: parameter settings (debit-credit) ==\n");
@@ -786,8 +785,6 @@ std::vector<Scenario> build_registry() {
         "(read-modify-write, 800 txns, 4 nodes)";
     sc.doc = "Update-mode (U) locks against plain read->write upgrades "
              "under a deadlock-prone read-modify-write workload.";
-    sc.exportable = false;  // custom workload, drained by transaction count
-    sc.stamp_time = false;
     sc.stamp_seed = false;
     sc.base = [] {
       SystemConfig cfg;
@@ -917,8 +914,6 @@ std::vector<Scenario> build_registry() {
         "NOFORCE, affinity, 100 TPS/node)";
     sc.doc = "Crash one of four nodes mid-run and track the committed-"
              "transaction timeline through detection, recovery, rejoin.";
-    sc.exportable = false;  // failure-injection timeline, not a plain sweep
-    sc.stamp_time = false;  // the cell drives the clock itself
     sc.tweak = [](SystemConfig& c) {
       c.nodes = 4;
       c.update = UpdateStrategy::NoForce;
@@ -1065,8 +1060,6 @@ std::vector<Scenario> build_registry() {
     sc.doc = "The scale_out workload family on the sharded coupling core: "
              "GEM-resident DATA, gem_shards=4, diurnal arrival curve and a "
              "time-drifting Zipf hotspot; reports GLT queueing and peak RSS.";
-    sc.exportable = false;  // custom workload bundle (diurnal/drift)
-    sc.stamp_time = false;  // fixed horizon: the commit target defines the run
     sc.base = [] { return workload::make_scale_out_config(1); };
     sc.tweak = [](SystemConfig& c) {
       c.warmup = 2.0;
@@ -1097,8 +1090,6 @@ std::vector<Scenario> build_registry() {
     sc.doc = "Shrunk scale_out cell (64 nodes, 2 s measured) for CI: must "
              "stay within the committed peak-RSS budget "
              "(gemsd_analyze --memory-budget).";
-    sc.exportable = false;
-    sc.stamp_time = false;
     sc.base = [] { return workload::make_scale_out_config(1); };
     sc.tweak = [](SystemConfig& c) {
       c.warmup = 0.5;

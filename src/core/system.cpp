@@ -2,13 +2,13 @@
 
 #include <chrono>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
 #include "cc/gem_lock_protocol.hpp"
 #include "cc/lock_engine_protocol.hpp"
 #include "cc/primary_copy_protocol.hpp"
+#include "core/config_file.hpp"
 #include "obs/memory.hpp"
 #include "obs/resources.hpp"
 #include "obs/timeseries.hpp"
@@ -22,40 +22,12 @@ System::System(const SystemConfig& cfg, Workload wl)
       metrics_(cfg.partitions.size(),
                static_cast<std::size_t>(wl.gen ? wl.gen->num_types() : 1)),
       wl_(std::move(wl)) {
-  // Capacities become unsigned sizes below: a zero buffer would make every
-  // install evict from an empty LRU forever, a negative one would wrap to
-  // an unbounded buffer.
-  if (cfg_.buffer_pages < 1) {
-    throw std::invalid_argument("buffer_pages must be >= 1, got " +
-                                std::to_string(cfg_.buffer_pages));
-  }
-  // A log group is a k-server station: it needs at least one arm.
-  if (cfg_.log_disks_per_node < 1) {
-    throw std::invalid_argument("log_disks_per_node must be >= 1, got " +
-                                std::to_string(cfg_.log_disks_per_node));
-  }
-  // These become event times: an infinite or NaN horizon never ends or
-  // never starts, a negative warm-up would move the clock back, and a
-  // non-positive rate makes arrivals that never advance time.
-  if (!(std::isfinite(cfg_.warmup) && cfg_.warmup >= 0)) {
-    throw std::invalid_argument("warmup must be finite and >= 0, got " +
-                                std::to_string(cfg_.warmup));
-  }
-  if (!(std::isfinite(cfg_.measure) && cfg_.measure > 0)) {
-    throw std::invalid_argument("measure must be finite and > 0, got " +
-                                std::to_string(cfg_.measure));
-  }
-  if (!(std::isfinite(cfg_.arrival_rate_per_node) &&
-        cfg_.arrival_rate_per_node > 0)) {
-    throw std::invalid_argument(
-        "arrival_rate_per_node must be finite and > 0, got " +
-        std::to_string(cfg_.arrival_rate_per_node));
-  }
-  for (const PartitionConfig& pc : cfg_.partitions) {
-    if (pc.disk_cache_pages < 0 || pc.gem_cache_pages < 0) {
-      throw std::invalid_argument("partition " + pc.name +
-                                  ": cache pages must be >= 0");
+  if (const auto errors = validate(cfg_); !errors.empty()) {
+    std::string msg = "invalid config";
+    for (const ConfigError& e : errors) {
+      msg += (&e == &errors.front() ? ": " : "; ") + e.key + ": " + e.message;
     }
+    throw std::invalid_argument(msg);
   }
   storage_ = std::make_unique<storage::StorageManager>(sched_, rng_, cfg_);
   network_ = std::make_unique<net::Network>(sched_, cfg_.comm);
@@ -113,12 +85,6 @@ System::System(const SystemConfig& cfg, Workload wl)
   if (cfg_.coupling == Coupling::GemLocking) {
     protocol_ = std::make_unique<cc::GemLockProtocol>(std::move(env));
   } else if (cfg_.coupling == Coupling::LockEngine) {
-    if (cfg_.update != UpdateStrategy::Force) {
-      // [Yu87]'s coherency scheme (broadcast invalidation, storage always
-      // current) is only sound with FORCE.
-      throw std::invalid_argument(
-          "Coupling::LockEngine requires UpdateStrategy::Force");
-    }
     protocol_ = std::make_unique<cc::LockEngineProtocol>(
         std::move(env), cfg_.lock_engine_service);
   } else {

@@ -48,6 +48,8 @@ class System {
     std::function<double(sim::SimTime)> arrival_factor;
   };
 
+  /// Throws one std::invalid_argument naming every key that validate()
+  /// (core/config_file.hpp) rejects.
   System(const SystemConfig& cfg, Workload wl);
   ~System();
 

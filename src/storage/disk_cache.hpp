@@ -14,6 +14,12 @@ namespace gemsd::storage {
 /// writes (the disk copy is updated asynchronously by the disk group's
 /// destage process). Because the cache sits below all nodes it acts as a
 /// global database buffer shared by the whole cluster.
+///
+/// A non-volatile DiskCache is also the content of a GEM-resident page cache
+/// in front of a disk group (StorageKind::DiskGemCache; Section 2's
+/// "caching database pages at an intermediate storage level", the
+/// [DIRY89/DDY91] Shared Intermediate Memory). Timing is not modelled here:
+/// StorageManager accounts the device accesses.
 class DiskCache {
  public:
   DiskCache(std::size_t capacity_pages, bool nonvolatile)

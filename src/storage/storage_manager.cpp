@@ -20,8 +20,8 @@ StorageManager::StorageManager(sim::Scheduler& sched, sim::Rng& rng,
   for (std::size_t i = 0; i < cfg.partitions.size(); ++i) {
     const auto& pc = cfg.partitions[i];
     if (pc.storage == StorageKind::DiskGemCache) {
-      gem_caches_[i] = std::make_unique<GemPageCache>(
-          static_cast<std::size_t>(pc.gem_cache_pages));
+      gem_caches_[i] = std::make_unique<DiskCache>(
+          static_cast<std::size_t>(pc.gem_cache_pages), /*nonvolatile=*/true);
     }
     if (pc.storage == StorageKind::Gem) {
       groups_.push_back(nullptr);

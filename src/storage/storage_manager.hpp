@@ -13,7 +13,6 @@
 #include "sim/task.hpp"
 #include "storage/disk.hpp"
 #include "storage/gem_device.hpp"
-#include "storage/gem_page_cache.hpp"
 
 namespace gemsd::storage {
 
@@ -50,7 +49,9 @@ class StorageManager {
   bool has_gem_cache(PartitionId p) const {
     return gem_caches_[static_cast<std::size_t>(p)] != nullptr;
   }
-  GemPageCache* gem_cache(PartitionId p) {
+  /// The partition's GEM page cache, a non-volatile DiskCache (null unless
+  /// the partition is DiskGemCache).
+  DiskCache* gem_cache(PartitionId p) {
     return gem_caches_[static_cast<std::size_t>(p)].get();
   }
   /// Probe the partition's GEM cache (caller holds a CPU): one GEM entry
@@ -114,7 +115,7 @@ class StorageManager {
   std::vector<std::unique_ptr<GemDevice>> gems_;  // cfg.gem.shards stations
   cc::ShardMap gem_map_;
   std::vector<std::unique_ptr<DiskGroup>> groups_;  // per partition
-  std::vector<std::unique_ptr<GemPageCache>> gem_caches_;
+  std::vector<std::unique_ptr<DiskCache>> gem_caches_;
   std::vector<std::unique_ptr<DiskGroup>> logs_;    // per node, lazily built
   std::function<void(DiskGroup&)> group_built_hook_;
 };

@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
-#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <stdexcept>
 #include <string_view>
 #include <unordered_set>
+
+#include "core/parse_number.hpp"
 
 namespace gemsd::workload {
 
@@ -58,8 +59,7 @@ Fields split(std::string_view s) {
 template <typename T>
 T parse(std::string_view s, std::size_t line, const char* what) {
   T v{};
-  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc() || end != s.data() + s.size()) {
+  if (!parse_number(s, v)) {
     fail(line, std::string("malformed ") + what + " '" + std::string(s) + "'");
   }
   return v;

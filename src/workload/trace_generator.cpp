@@ -143,4 +143,11 @@ Trace generate_synthetic_trace(const SyntheticTraceConfig& cfg,
   return tr;
 }
 
+Trace standard_synthetic_trace(std::size_t transactions) {
+  SyntheticTraceConfig tc;
+  tc.transactions = transactions;
+  sim::Rng rng(7);
+  return generate_synthetic_trace(tc, rng);
+}
+
 }  // namespace gemsd::workload

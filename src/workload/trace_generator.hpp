@@ -32,4 +32,11 @@ struct SyntheticTraceConfig {
 
 Trace generate_synthetic_trace(const SyntheticTraceConfig& cfg, sim::Rng& rng);
 
+/// The synthetic trace that every trace scenario and every trace spec
+/// without a trace_file runs: the default generator with `transactions`
+/// transactions, drawn from seed 7. That one seed is what lets `gemsd_run
+/// specs/fig_4_7.ini` reproduce `gemsd_bench --scenario=fig_4_7`.
+Trace standard_synthetic_trace(
+    std::size_t transactions = SyntheticTraceConfig{}.transactions);
+
 }  // namespace gemsd::workload

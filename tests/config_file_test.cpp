@@ -208,6 +208,86 @@ TEST(RunSpec, TraceTxnsBelowOneIsRejectedWithKeyAndLine) {
   EXPECT_EQ(parse_error("[workload]\nkind = trace\ntrace_txns = 1\n"), "");
 }
 
+// Each repro below ran on a 2-node debit-credit spec before validate(): an
+// all-zero row, a row that looks like a result, or free hardware, with exit
+// 0. The value sits on line 3 after `nodes = 2`.
+
+/// Expects `key = value` on line 3 to be rejected, naming the key and line.
+void expect_rejected(const std::string& key, const std::string& value) {
+  const std::string err =
+      parse_error("[system]\nnodes = 2\n" + key + " = " + value + "\n");
+  EXPECT_NE(err.find("line 3: " + key + ":"), std::string::npos)
+      << key << " = " << value << ": " << err;
+}
+
+TEST(RunSpec, MplBelowOneIsRejectedWithKeyAndLine) {
+  // A silent all-zero row: no transaction ever got a slot.
+  for (const char* v : {"0", "-3"}) expect_rejected("mpl", v);
+}
+
+TEST(RunSpec, CpuProcsBelowOneIsRejectedWithKeyAndLine) {
+  // A silent all-zero row; at 0 with cpu_util printed as -nan.
+  for (const char* v : {"0", "-1"}) expect_rejected("cpu_procs", v);
+}
+
+TEST(RunSpec, NodesBelowOneOrOutOfRangeAreRejectedWithKeyAndLine) {
+  // 0 failed deep inside construction with a ShardMap error; 1e10 was
+  // rejected only by an out-of-range double-to-int cast (undefined
+  // behaviour that happens to give INT_MIN on x86).
+  for (const char* v : {"0", "1e10"}) expect_rejected("nodes", v);
+}
+
+TEST(RunSpec, NonFiniteOrNegativeGemEntryIsRejectedWithKeyAndLine) {
+  // nan held the GEM server by an event due at NaN (zero commits at
+  // utilization 1.0); -5 ran as a free GEM.
+  for (const char* v : {"nan", "-5"}) expect_rejected("gem_entry_us", v);
+}
+
+TEST(RunSpec, NonFiniteOrNegativeMessageCostIsRejectedWithKeyAndLine) {
+  // inf gave zero commits at utilization 1.0; -5000 ran as a free send.
+  expect_rejected("msg_long_instr", "inf");
+  expect_rejected("msg_short_instr", "-5000");
+}
+
+TEST(RunSpec, NegativeLockEngineTimeIsRejectedWithKeyAndLine) {
+  // -1 gave output byte-identical to 0.
+  expect_rejected("lock_engine_us", "-1");
+}
+
+TEST(RunSpec, EngineCouplingUnderNoforceIsRejectedWithKeyAndLine) {
+  // [Yu87]'s coherency scheme is only sound with FORCE; System refused the
+  // run only after the spec had been accepted.
+  const std::string err =
+      parse_error("[system]\nupdate = noforce\ncoupling = engine\n");
+  EXPECT_NE(err.find("line 3: coupling:"), std::string::npos) << err;
+  EXPECT_EQ(parse_error("[system]\nupdate = force\ncoupling = engine\n"), "");
+}
+
+TEST(RunSpec, GemCacheWithoutPagesIsRejectedWithKeyAndLine) {
+  // A GEM cache of 0 pages ran as a one-page cache.
+  const std::string spec =
+      "[system]\nupdate = force\nstorage.BRANCH/TELLER = gemcache\n";
+  const std::string err = parse_error(spec);
+  EXPECT_NE(err.find("line 3: storage.BRANCH/TELLER:"), std::string::npos)
+      << err;
+  EXPECT_NE(err.find("gem_cache_pages.BRANCH/TELLER"), std::string::npos)
+      << err;
+  EXPECT_EQ(parse_error(spec + "gem_cache_pages.BRANCH/TELLER = 1\n"), "");
+}
+
+TEST(RunSpec, EveryViolationIsReportedOnItsLine) {
+  const std::string err =
+      parse_error("[system]\nmpl = 0\nnodes = 2\ncpu_procs = -1\n");
+  EXPECT_NE(err.find("line 2: mpl:"), std::string::npos) << err;
+  EXPECT_NE(err.find("line 4: cpu_procs:"), std::string::npos) << err;
+}
+
+TEST(RunSpec, SeedIsReadExactly) {
+  // 2^53 + 1 has no double: read through one, it became ...992.
+  EXPECT_EQ(parse("[system]\nseed = 9007199254740993\n").cfg.seed,
+            9007199254740993u);
+}
+
 TEST(RunSpec, ShippedSpecsParse) {
   // The specs/ directory must stay in sync with the parser.
   const std::string bases[] = {"specs/", "../specs/", "../../specs/"};

@@ -5,7 +5,7 @@
 
 #include "core/system.hpp"
 #include "net/comm.hpp"
-#include "storage/gem_page_cache.hpp"
+#include "storage/disk_cache.hpp"
 #include "workload/workload.hpp"
 
 namespace gemsd {
@@ -113,7 +113,7 @@ TEST(GemMessaging, FasterThanNetworkForRemoteLocks) {
 // --- GEM page cache / write buffer ---
 
 TEST(GemPageCacheUnit, HitsPromoteAndDirtyVictimsSurface) {
-  storage::GemPageCache c(2);
+  storage::DiskCache c(2, /*nonvolatile=*/true);
   EXPECT_FALSE(c.read_hit(pg(1)));
   c.install(pg(1), true);
   EXPECT_TRUE(c.read_hit(pg(1)));

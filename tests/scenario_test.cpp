@@ -94,6 +94,23 @@ TEST(BenchArgs, RejectsNonFiniteOrNegativeHorizon) {
   EXPECT_EQ(o.measure, 0.5);
 }
 
+TEST(BenchArgs, RejectsOutOfRangeSeed) {
+  // strtoull read "-1" as seed 2^64 - 1 and saturated on overflow.
+  for (const char* a : {"--seed=-1", "--seed=99999999999999999999999"}) {
+    BenchOptions o;
+    EXPECT_NE(try_parse_bench_args({a}, o), "") << a;
+  }
+}
+
+TEST(BenchArgs, RejectsMaxNodesBelowOne) {
+  // --max-nodes=0 selected no runs: gemsd_bench printed its fingerprint line
+  // and exited 0.
+  for (const char* a : {"--max-nodes=0", "--max-nodes=-3"}) {
+    BenchOptions o;
+    EXPECT_NE(try_parse_bench_args({a}, o), "") << a;
+  }
+}
+
 TEST(BenchArgs, UsageListsEveryFlag) {
   const std::string u = bench_usage();
   for (const char* flag :
@@ -252,7 +269,7 @@ TEST(ScenarioExport, EveryExportableScenarioRoundTrips) {
   // format drift.
   const BenchOptions opt = quick_opts();
   for (const Scenario& sc : scenario_registry()) {
-    if (!sc.exportable) continue;
+    if (!sc.exportable()) continue;
     std::string text;
     ASSERT_NO_THROW(text = export_scenario_spec(sc, opt)) << sc.name;
     std::istringstream in(text);
@@ -304,7 +321,7 @@ TEST(ScenarioExport, ShippedSpecsAreCurrent) {
     GTEST_SKIP() << "specs/ not reachable";
   }
   for (const Scenario& sc : scenario_registry()) {
-    if (!sc.exportable) continue;
+    if (!sc.exportable()) continue;
     const std::string shipped = slurp(dir + sc.name + ".ini");
     ASSERT_FALSE(shipped.empty()) << sc.name << ".ini missing from specs/";
     EXPECT_EQ(shipped, export_scenario_spec(sc, BenchOptions{}))
@@ -366,6 +383,7 @@ TEST(SpecKeys, RoundTripReproducesTheConfig) {
   SystemConfig cfg = make_debit_credit_config();
   cfg.nodes = 7;
   cfg.coupling = Coupling::LockEngine;
+  cfg.update = UpdateStrategy::Force;
   cfg.lock_engine_service = 100 * 1e-6;
   cfg.buffer_pages = 1000;
   cfg.partitions[0].storage = StorageKind::DiskGemCache;

@@ -246,6 +246,22 @@ TEST(System, NonPositiveLogDisksIsRejected) {
   }
 }
 
+TEST(System, EveryBadFieldIsNamedInOneError) {
+  // Configs built in code skip the spec parser: validate() still rejects
+  // them, naming every bad key in one throw.
+  SystemConfig cfg = base_cfg();
+  cfg.mpl = 0;
+  cfg.cpu.processors = -1;
+  try {
+    System sys(cfg, make_debit_credit_workload(cfg));
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("mpl"), std::string::npos) << what;
+    EXPECT_NE(what.find("cpu_procs"), std::string::npos) << what;
+  }
+}
+
 TEST(System, NonFiniteOrNegativeHorizonIsRejected) {
   // Configs built in code skip the spec parser: an infinite or NaN horizon
   // hung or ran silently, and a negative warm-up moved the clock back.

@@ -66,7 +66,7 @@
 #include <sstream>
 #include <string>
 
-#include "core/experiment.hpp"
+#include "core/parse_number.hpp"
 #include "obs/analyze.hpp"
 #include "obs/critpath.hpp"
 #include "obs/json.hpp"
@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
       bottleneck = true;
       trace_path = a + 13;
     } else if (std::strncmp(a, "--memory-budget=", 16) == 0) {
-      num_ok = to_double(a + 16, memory_budget) &&
+      num_ok = parse_number(a + 16, memory_budget) &&
                std::isfinite(memory_budget) && memory_budget > 0.0;
     } else if (std::strncmp(a, "--csv=", 6) == 0) {
       csv_file = a + 6;
@@ -203,11 +203,11 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(a, "--results=", 10) == 0) {
       results_path = a + 10;
     } else if (std::strncmp(a, "--run=", 6) == 0) {
-      num_ok = to_int(a + 6, run_index) && run_index >= 0;
+      num_ok = parse_number(a + 6, run_index) && run_index >= 0;
     } else if (std::strncmp(a, "--top=", 6) == 0) {
-      num_ok = to_int(a + 6, top_k) && top_k >= 1;
+      num_ok = parse_number(a + 6, top_k) && top_k >= 1;
     } else if (std::strncmp(a, "--tolerance=", 12) == 0) {
-      num_ok = to_double(a + 12, tolerance) && std::isfinite(tolerance) &&
+      num_ok = parse_number(a + 12, tolerance) && std::isfinite(tolerance) &&
                tolerance >= 0.0;
     } else if (a[0] == '-') {
       std::fprintf(stderr, "error: unknown option %s\n", a);

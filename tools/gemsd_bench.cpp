@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
   if (!export_dir.empty()) {
     int written = 0;
     for (const Scenario* sc : sel) {
-      if (!sc->exportable) {
+      if (!sc->exportable()) {
         std::fprintf(stderr, "gemsd_bench: skipping %s (not expressible "
                              "as a run spec)\n",
                      sc->name.c_str());
@@ -171,6 +171,18 @@ int main(int argc, char** argv) {
                  "scenario (results files would overwrite each other); "
                  "use --out-dir=DIR\n");
     return 2;
+  }
+
+  // A sweep whose every point lies above --max-nodes would print only its
+  // fingerprint line and exit 0.
+  for (const Scenario* sc : sel) {
+    if (!sc->report && scenario_cell_count(*sc, opt) == 0) {
+      std::fprintf(stderr,
+                   "gemsd_bench: scenario %s selects no runs (check "
+                   "--max-nodes)\n",
+                   sc->name.c_str());
+      return 2;
+    }
   }
 
   for (std::size_t i = 0; i < sel.size(); ++i) {

@@ -19,8 +19,10 @@
 // Flags go through the same strict parser as gemsd_bench: an unknown flag or
 // a malformed value exits 2 with the usage text. The spec owns the horizon,
 // node count and seed, so --quick, --measure, --warmup, --max-nodes and
-// --seed are rejected rather than silently ignored.
-// See src/core/config_file.hpp for the spec format.
+// --seed are rejected rather than silently ignored. A spec that does not
+// parse or holds an out-of-range value exits 1 before any run, naming the
+// file, the line and the key. See src/core/config_file.hpp for the spec
+// format and each key's range.
 #include <cstdio>
 #include <functional>
 #include <map>
@@ -121,11 +123,8 @@ int main(int argc, char** argv) {
         traces[key] = std::make_shared<const workload::Trace>(
             workload::Trace::load_file(j.spec.trace_file));
       } else {
-        sim::Rng rng(7);
-        workload::SyntheticTraceConfig tc;
-        tc.transactions = j.spec.trace_txns;
         traces[key] = std::make_shared<const workload::Trace>(
-            workload::generate_synthetic_trace(tc, rng));
+            workload::standard_synthetic_trace(j.spec.trace_txns));
       }
     } catch (const std::exception& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
