@@ -124,7 +124,7 @@ std::string try_parse_bench_args(const std::vector<std::string>& args,
     } else if (value_of(a, "--trace-run", v)) {
       num_ok = parse_number(v, o.trace_run);
     } else if (value_of(a, "--trace-capacity", v)) {
-      num_ok = parse_number(v, o.trace_capacity);
+      num_ok = parse_number(v, o.trace_capacity) && o.trace_capacity >= 1;
     } else if (value_of(a, "--trace-filter", v)) {
       // Validate here: a bad regex must refuse to start the sweep, not throw
       // out of a worker thread mid-run.
@@ -185,7 +185,7 @@ std::string bench_usage() {
       "  --no-json          skip the structured results file\n"
       "  --trace=F          Chrome trace-event JSON of one sweep point\n"
       "  --trace-run=I      which sweep point gets traced (default 0)\n"
-      "  --trace-capacity=N trace ring-buffer capacity [events]\n"
+      "  --trace-capacity=N trace ring-buffer capacity [events], >= 1\n"
       "  --trace-filter=RE  record only events whose name matches the regex\n"
       "  --audit            online invariant auditors (fail fast)\n"
       "  --progress[=SECS]  stderr JSONL heartbeat (default 10s period)\n"
@@ -368,11 +368,10 @@ void write_telemetry_members(obs::JsonWriter& w, const obs::RunTelemetry* tel) {
 }
 
 /// The gemsd.results.v1 document (see write_artifacts).
-std::string results_json(const std::string& bench, const std::string& caption,
-                         const BenchOptions& opt,
-                         const std::vector<BenchRun>& runs,
-                         const std::vector<std::string>& partition_names) {
-  obs::JsonWriter w;
+void results_json(obs::JsonWriter& w, const std::string& bench,
+                  const std::string& caption, const BenchOptions& opt,
+                  const std::vector<BenchRun>& runs,
+                  const std::vector<std::string>& partition_names) {
   w.begin_object();
   w.kv("schema", "gemsd.results.v1");
   w.kv("bench", bench);
@@ -422,7 +421,6 @@ std::string results_json(const std::string& bench, const std::string& caption,
   }
   w.end_array();
   w.end_object();
-  return w.take();
 }
 
 }  // namespace
@@ -431,19 +429,27 @@ std::vector<Artifact> write_artifacts(
     const std::string& bench, const std::string& caption,
     const BenchOptions& opt, const std::vector<BenchRun>& runs,
     const std::vector<std::string>& partition_names) {
+  using Emit = std::function<void(obs::JsonWriter&)>;
   std::vector<Artifact> written;
+  // Each document streams through a JsonWriter into its file.
   const auto put = [&written](const char* label, const std::string& path,
-                              const std::string& text) {
-    if (const std::string err = obs::write_file(path, text); !err.empty()) {
-      throw std::runtime_error(err);
-    }
+                              const Emit& emit) {
+    const std::string err =
+        obs::write_file(path, [&emit](const obs::ByteSink& sink) {
+          obs::JsonWriter w(sink);
+          emit(w);
+          w.flush();
+        });
+    if (!err.empty()) throw std::runtime_error(err);
     written.push_back({label, path});
   };
   if (!opt.no_json) {
     put("results",
         opt.metrics_json.empty() ? "results/BENCH_" + bench + ".json"
                                  : opt.metrics_json,
-        results_json(bench, caption, opt, runs, partition_names));
+        [&](obs::JsonWriter& w) {
+          results_json(w, bench, caption, opt, runs, partition_names);
+        });
   }
   if (runs.empty()) return written;
 
@@ -466,28 +472,34 @@ std::vector<Artifact> write_artifacts(
     return file.empty() ? "results/" + std::string(kind) + "_" + bench + ".json"
                         : file;
   };
+  // The time series and the resources are small documents (a few hundred
+  // windows, one row per station); only the trace is worth streaming.
   struct Row {
     const char* label;
     bool requested;
     std::string path;
     bool recorded;
-    std::function<std::string()> render;
+    Emit emit;
   };
   const Row rows[] = {
       {"trace", !opt.trace_file.empty(), opt.trace_file,
        tel && tel->trace_enabled,
-       [&] {
+       [&](obs::JsonWriter& w) {
          auto m = meta;
          m.emplace_back("config", obs::config_json(run.config));
-         return obs::chrome_trace_json(*tel, m);
+         obs::chrome_trace_json(w, *tel, m);
        }},
       {"timeseries", opt.timeseries,
        or_default(opt.timeseries_file, "TIMESERIES"),
        tel && tel->timeseries,
-       [&] { return obs::timeseries_json(*tel->timeseries, meta); }},
+       [&](obs::JsonWriter& w) {
+         w.raw(obs::timeseries_json(*tel->timeseries, meta));
+       }},
       {"resources", opt.resources, or_default(opt.resources_file, "RESOURCES"),
        tel && tel->resources,
-       [&] { return obs::resources_json(*tel->resources, meta); }},
+       [&](obs::JsonWriter& w) {
+         w.raw(obs::resources_json(*tel->resources, meta));
+       }},
   };
   for (const Row& row : rows) {
     if (!row.requested) continue;
@@ -496,7 +508,7 @@ std::vector<Artifact> write_artifacts(
                    row.label, idx);
       continue;
     }
-    put(row.label, row.path, row.render());
+    put(row.label, row.path, row.emit);
   }
   return written;
 }

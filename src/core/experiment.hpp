@@ -37,7 +37,7 @@ RunResult run_trace(const SystemConfig& cfg, const workload::Trace& trace);
 ///   --no-json          skip the structured results file
 ///   --trace=F          Chrome trace-event JSON of one sweep point
 ///   --trace-run=I      which sweep point gets traced (default 0)
-///   --trace-capacity=N trace ring-buffer capacity [events]
+///   --trace-capacity=N trace ring-buffer capacity [events], >= 1
 ///   --trace-filter=RE  record only events whose name matches the regex
 ///                      (filtered events never enter the ring, so they don't
 ///                      count as dropped)

@@ -424,7 +424,7 @@ RunResult System::run() {
   return collect();
 }
 
-RunResult System::collect() const {
+RunResult System::collect() {
   RunResult r;
   r.nodes = cfg_.nodes;
   r.coupling = cfg_.coupling;
@@ -670,11 +670,6 @@ RunResult System::collect() const {
   }
 
   tel->slowest = slow_log_.sorted();
-  if (trace_) {
-    tel->trace_enabled = true;
-    tel->events = trace_->snapshot();
-    tel->events_dropped = trace_->dropped();
-  }
   if (ts_) {
     ts_->fold(sched_.now());  // close the tail segment at the horizon
     tel->timeseries =
@@ -696,6 +691,13 @@ RunResult System::collect() const {
       tel->resources =
           std::make_shared<const obs::ResourceSet>(std::move(set));
     }
+  }
+  // Last, so that an audit violation above still prints its cursor from
+  // the ring: the ring itself moves into the result, never copied.
+  if (trace_) {
+    tel->trace_enabled = true;
+    tel->events = trace_->take();
+    tel->events_dropped = trace_->dropped();
   }
   r.telemetry = std::move(tel);
   return r;

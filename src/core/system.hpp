@@ -61,7 +61,9 @@ class System {
   void start_source();
   void run_until(sim::SimTime t);
   void reset_stats();
-  RunResult collect() const;
+  /// The run's results. Hands the trace ring over to the result's
+  /// telemetry, so the recorder is empty afterwards.
+  RunResult collect();
 
   // component access (tests, examples)
   sim::Scheduler& scheduler() { return sched_; }

@@ -75,18 +75,21 @@ struct TraceAnalysis {
   std::uint64_t deadlock_instants = 0;  ///< kDeadlock events seen
 };
 
-/// Analyze a native event stream (record order, as TraceRecorder::snapshot()
+/// Analyze a native event stream (record order, as TraceRecorder::take()
 /// returns it). `dropped` is the ring's overwrite count — nonzero means spans
 /// may be partial and strict reconciliation is off the table.
 TraceAnalysis analyze_trace(const std::vector<TraceEvent>& events,
                             std::uint64_t dropped);
 
-/// Parse a "gemsd.trace.v1" Chrome trace document back into native events.
+/// Parse the text of a "gemsd.trace.v1" Chrome trace document back into
+/// native events. traceEvents is converted one element at a time, never
+/// held as a parsed tree, and otherData may come before or after it.
 /// Spans, instants and message flows all round-trip; per-txn phase args are
 /// re-expanded into PhaseTotal records. Presentation metadata ("M" records)
 /// and the counter tracks ("C") of older traces stay behind. Returns false
-/// with `error` set on documents that are not gemsd traces.
-bool parse_chrome_trace(const JsonValue& doc, std::vector<TraceEvent>& out,
+/// with `error` set on malformed JSON (the parser's message) and on
+/// documents that are not gemsd traces.
+bool parse_chrome_trace(const std::string& text, std::vector<TraceEvent>& out,
                         std::uint64_t& dropped, std::string& error);
 
 /// One phase bucket of the trace-vs-reported cross-check.

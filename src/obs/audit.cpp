@@ -54,16 +54,15 @@ void Auditor::report(const AuditViolation& v) const {
                          "a cursor)\n");
     return;
   }
-  const std::vector<TraceEvent> events = trace_->snapshot();
   constexpr std::size_t kCursor = 12;
-  const std::size_t n = events.size();
+  const std::size_t n = trace_->size();
   const std::size_t first = n > kCursor ? n - kCursor : 0;
   std::fprintf(stderr,
                "  trace cursor (last %zu of %zu events, %llu dropped):\n",
                n - first, n,
                static_cast<unsigned long long>(trace_->dropped()));
   for (std::size_t i = first; i < n; ++i) {
-    const TraceEvent& e = events[i];
+    const TraceEvent& e = (*trace_)[i];
     std::fprintf(stderr,
                  "    t=%.9f %-5s %-12s txn=%llu node=%d value=%g aux=%d\n",
                  e.t, kind_tag(e.kind), to_string(e.name),

@@ -5,6 +5,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -14,7 +15,34 @@ namespace gemsd::obs {
 
 // --- writer ---
 
+namespace {
+
+/// number() into `buf` (at least 32 bytes); returns the end. std::to_chars
+/// with chars_format::general and a precision is defined as printf's %.12g.
+char* put_number(char* buf, double v) {
+  if (!std::isfinite(v)) {
+    *buf = '0';
+    return buf + 1;
+  }
+  // Exact small integers print without a fraction (counter values, ids).
+  if (v == std::floor(v) && std::fabs(v) < 1e15) {
+    return std::to_chars(buf, buf + 32, static_cast<long long>(v)).ptr;
+  }
+  return std::to_chars(buf, buf + 32, v, std::chars_format::general, 12).ptr;
+}
+
+}  // namespace
+
+void JsonWriter::flush() {
+  if (!sink_ || out_.empty()) return;
+  sink_(out_);
+  out_.clear();
+}
+
 void JsonWriter::comma() {
+  // Every key, value and container opens here, so a streaming writer's
+  // buffer never runs far past kFlushBytes.
+  if (sink_ && out_.size() >= kFlushBytes) flush();
   if (pending_key_) {
     pending_key_ = false;
     return;
@@ -47,40 +75,37 @@ void JsonWriter::end_array() {
   has_item_.pop_back();
 }
 
-void JsonWriter::key(const std::string& k) {
+void JsonWriter::key(std::string_view k) {
   comma();
   out_ += '"';
-  out_ += escape(k);
+  append_escaped(k);
   out_ += "\":";
   pending_key_ = true;
 }
 
-void JsonWriter::value(const std::string& v) {
+void JsonWriter::value(std::string_view v) {
   comma();
   out_ += '"';
-  out_ += escape(v);
+  append_escaped(v);
   out_ += '"';
 }
 
-void JsonWriter::value(const char* v) { value(std::string(v)); }
-
 void JsonWriter::value(double v) {
   comma();
-  out_ += number(v);
+  char buf[32];
+  out_.append(buf, put_number(buf, v));
 }
 
 void JsonWriter::value(std::int64_t v) {
   comma();
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-  out_ += buf;
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 void JsonWriter::value(std::uint64_t v) {
   comma();
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-  out_ += buf;
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 void JsonWriter::value(bool v) {
@@ -93,45 +118,41 @@ void JsonWriter::value_null() {
   out_ += "null";
 }
 
-void JsonWriter::raw(const std::string& json) {
+void JsonWriter::raw(std::string_view json) {
   comma();
   out_ += json;
 }
 
-std::string JsonWriter::escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
+void JsonWriter::append_escaped(std::string_view s) {
+  for (std::size_t i = 0; i < s.size();) {
+    // Copy the longest run that needs no escape in one append.
+    std::size_t j = i;
+    while (j < s.size() && static_cast<unsigned char>(s[j]) >= 0x20 &&
+           s[j] != '"' && s[j] != '\\') {
+      ++j;
     }
+    out_.append(s, i, j - i);
+    if (j == s.size()) return;
+    const auto c = static_cast<unsigned char>(s[j]);
+    switch (c) {
+      case '"': out_ += "\\\""; break;
+      case '\\': out_ += "\\\\"; break;
+      case '\n': out_ += "\\n"; break;
+      case '\r': out_ += "\\r"; break;
+      case '\t': out_ += "\\t"; break;
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        out_ += buf;
+      }
+    }
+    i = j + 1;
   }
-  return out;
 }
 
 std::string JsonWriter::number(double v) {
-  if (!std::isfinite(v)) return "0";
-  // Exact small integers print without a fraction (counter values, ids).
-  if (v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-    return buf;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  return buf;
+  char buf[32];
+  return std::string(buf, put_number(buf, v));
 }
 
 // --- parser ---
@@ -139,6 +160,9 @@ std::string JsonWriter::number(double v) {
 namespace {
 
 struct Parser {
+  Parser(const std::string& text, std::string& err)
+      : p(text.data()), end(text.data() + text.size()), error(&err) {}
+
   const char* p;
   const char* end;
   std::string* error;
@@ -147,10 +171,33 @@ struct Parser {
     if (error->empty()) *error = msg;
     return false;
   }
+  /// Set by json_parse_each: the member of the top-level object whose
+  /// array elements go to `each` one at a time instead of into the tree.
+  std::string_view each_key;
+  const std::function<void(const JsonValue&)>* each = nullptr;
+  bool at_top = true;  ///< the next value parsed is the document itself
+
   void skip_ws() {
     while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) ++p;
   }
   bool parse_value(JsonValue& out);
+
+  /// The elements of an array whose '[' was consumed, each passed to
+  /// `element` as an rvalue once parsed.
+  template <typename F>
+  bool parse_elements(F&& element) {
+    skip_ws();
+    if (p < end && *p == ']') { ++p; return true; }
+    for (;;) {
+      JsonValue v;
+      if (!parse_value(v)) return false;
+      element(std::move(v));
+      skip_ws();
+      if (p < end && *p == ',') { ++p; continue; }
+      if (p < end && *p == ']') { ++p; return true; }
+      return fail("expected ',' or ']'");
+    }
+  }
 
   bool parse_string(std::string& out) {
     if (p >= end || *p != '"') return fail("expected string");
@@ -207,6 +254,8 @@ struct Parser {
 };
 
 bool Parser::parse_value(JsonValue& out) {
+  const bool top = at_top;
+  at_top = false;
   skip_ws();
   if (p >= end) return fail("unexpected end of input");
   const char c = *p;
@@ -223,7 +272,14 @@ bool Parser::parse_value(JsonValue& out) {
       if (p >= end || *p != ':') return fail("expected ':'");
       ++p;
       JsonValue v;
-      if (!parse_value(v)) return false;
+      skip_ws();
+      if (top && each && k == each_key && p < end && *p == '[') {
+        ++p;
+        v.kind = JsonValue::Kind::Array;
+        if (!parse_elements(*each)) return false;
+      } else if (!parse_value(v)) {
+        return false;
+      }
       out.obj.emplace(std::move(k), std::move(v));
       skip_ws();
       if (p < end && *p == ',') { ++p; continue; }
@@ -234,17 +290,9 @@ bool Parser::parse_value(JsonValue& out) {
   if (c == '[') {
     ++p;
     out.kind = JsonValue::Kind::Array;
-    skip_ws();
-    if (p < end && *p == ']') { ++p; return true; }
-    for (;;) {
-      JsonValue v;
-      if (!parse_value(v)) return false;
+    return parse_elements([&out](JsonValue&& v) {
       out.arr.push_back(std::move(v));
-      skip_ws();
-      if (p < end && *p == ',') { ++p; continue; }
-      if (p < end && *p == ']') { ++p; return true; }
-      return fail("expected ',' or ']'");
-    }
+    });
   }
   if (c == '"') {
     out.kind = JsonValue::Kind::String;
@@ -278,12 +326,9 @@ bool Parser::parse_value(JsonValue& out) {
   return fail(std::string("unexpected character '") + c + "'");
 }
 
-}  // namespace
-
-bool json_parse(const std::string& text, JsonValue& out, std::string& error) {
+bool parse_document(Parser& parser, JsonValue& out, std::string& error) {
   error.clear();
   out = JsonValue{};  // parse_value fills containers in place; start fresh
-  Parser parser{text.data(), text.data() + text.size(), &error};
   if (!parser.parse_value(out)) return false;
   parser.skip_ws();
   if (parser.p != parser.end) {
@@ -291,6 +336,22 @@ bool json_parse(const std::string& text, JsonValue& out, std::string& error) {
     return false;
   }
   return true;
+}
+
+}  // namespace
+
+bool json_parse(const std::string& text, JsonValue& out, std::string& error) {
+  Parser parser(text, error);
+  return parse_document(parser, out, error);
+}
+
+bool json_parse_each(const std::string& text, std::string_view array_key,
+                     const std::function<void(const JsonValue&)>& element,
+                     JsonValue& out, std::string& error) {
+  Parser parser(text, error);
+  parser.each_key = array_key;
+  parser.each = &element;
+  return parse_document(parser, out, error);
 }
 
 // --- schema validation (subset) ---
@@ -409,6 +470,11 @@ bool json_schema_validate(const JsonValue& schema, const JsonValue& doc,
 // --- file writer ---
 
 std::string write_file(const std::string& path, const std::string& text) {
+  return write_file(path, [&text](const ByteSink& put) { put(text); });
+}
+
+std::string write_file(const std::string& path,
+                       const std::function<void(const ByteSink&)>& emit) {
   const std::string failed = "cannot write " + path + ": ";
   const std::filesystem::path p(path);
   if (p.has_parent_path()) {
@@ -425,7 +491,19 @@ std::string write_file(const std::string& path, const std::string& text) {
   std::FILE* f = std::fopen(target.c_str(), "wb");
   if (!f) return failed + std::strerror(errno);
   int err = 0;
-  if (std::fwrite(text.data(), 1, text.size(), f) != text.size()) err = errno;
+  const ByteSink put = [f, &err](std::string_view chunk) {
+    if (err == 0 &&
+        std::fwrite(chunk.data(), 1, chunk.size(), f) != chunk.size()) {
+      err = errno;
+    }
+  };
+  try {
+    emit(put);
+  } catch (...) {
+    std::fclose(f);
+    if (!in_place) std::remove(target.c_str());
+    throw;
+  }
   if (std::fclose(f) != 0 && err == 0) err = errno;
   if (err == 0 && !in_place &&
       std::rename(target.c_str(), path.c_str()) != 0) {

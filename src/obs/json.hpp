@@ -1,46 +1,63 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
-#include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace gemsd::obs {
+
+/// Takes a streamed document's bytes, one chunk per call, in order.
+using ByteSink = std::function<void(std::string_view)>;
 
 /// Streaming JSON writer. Produces deterministic output (fixed key order —
 /// whatever order the caller emits — and fixed number formatting), which the
 /// telemetry tests rely on: the same run must serialize to the same bytes at
 /// any --jobs value.
+///
+/// Default-constructed, the document accumulates in memory (str(), take()).
+/// Given a sink, the writer hands its buffer over whenever kFlushBytes have
+/// accumulated, so a large document (a full trace ring) is never held whole;
+/// flush() passes on the rest.
 class JsonWriter {
  public:
+  static constexpr std::size_t kFlushBytes = std::size_t{1} << 16;
+
+  JsonWriter() = default;
+  explicit JsonWriter(ByteSink sink) : sink_(std::move(sink)) {}
+
   void begin_object();
   void end_object();
   void begin_array();
   void end_array();
   /// Key inside an object; follow with exactly one value (or container).
-  void key(const std::string& k);
-  void value(const std::string& v);
-  void value(const char* v);
+  void key(std::string_view k);
+  void value(std::string_view v);
+  void value(const char* v) { value(std::string_view(v)); }
   void value(double v);
   void value(std::int64_t v);
   void value(std::uint64_t v);
   void value(bool v);
   void value_null();
   /// Splice a pre-serialized JSON fragment as a value (no validation).
-  void raw(const std::string& json);
+  void raw(std::string_view json);
 
   // Convenience: key + value in one call.
   template <typename T>
-  void kv(const std::string& k, T v) {
+  void kv(std::string_view k, const T& v) {
     key(k);
     value(v);
   }
 
+  /// Hand what is buffered to the sink (streaming writers only).
+  void flush();
+
   const std::string& str() const { return out_; }
   std::string take() { return std::move(out_); }
 
-  static std::string escape(const std::string& s);
   /// Shortest deterministic representation: integers without exponent where
   /// exact, otherwise %.12g. Non-finite values serialize as 0 (JSON has no
   /// NaN/Inf).
@@ -48,9 +65,11 @@ class JsonWriter {
 
  private:
   void comma();
+  void append_escaped(std::string_view s);
 
   std::string out_;
-  std::vector<bool> has_item_;  ///< per open container: item already written
+  ByteSink sink_;
+  std::vector<char> has_item_;  ///< per open container: item already written
   bool pending_key_ = false;
 };
 
@@ -82,6 +101,16 @@ struct JsonValue {
 /// malformed input; trailing non-whitespace is an error.
 bool json_parse(const std::string& text, JsonValue& out, std::string& error);
 
+/// json_parse for a document whose bulk is one array member of its
+/// top-level object: each element of the array at `array_key` goes to
+/// `element` as soon as it is parsed and is then dropped, so only one
+/// element is held at a time. In `out` that member is an empty array; every
+/// other member is parsed as json_parse would. A document that is not an
+/// object, or whose `array_key` member is not an array, parses as a whole.
+bool json_parse_each(const std::string& text, std::string_view array_key,
+                     const std::function<void(const JsonValue&)>& element,
+                     JsonValue& out, std::string& error);
+
 /// Validate `doc` against a JSON-Schema subset: type, required, properties,
 /// items (single schema), enum (strings/numbers), minItems,
 /// additionalProperties (bool only; default true). Returns true when valid;
@@ -99,5 +128,12 @@ bool json_schema_validate(const JsonValue& schema, const JsonValue& doc,
 /// never renamed over. Returns "" on success, else "cannot write <path>:
 /// <OS reason>"; a failed write leaves no temp file behind.
 std::string write_file(const std::string& path, const std::string& text);
+
+/// The streaming form, with the same guarantees: `emit` produces the
+/// content through the sink it is given, a chunk at a time, so the file is
+/// never held in memory whole. After the first failed write the remaining
+/// chunks are dropped and the error is returned.
+std::string write_file(const std::string& path,
+                       const std::function<void(const ByteSink&)>& emit);
 
 }  // namespace gemsd::obs

@@ -12,6 +12,7 @@
 
 namespace gemsd::obs {
 
+class JsonWriter;
 struct TsSeries;
 struct ResourceSet;
 
@@ -102,9 +103,15 @@ struct RunTelemetry {
 };
 
 /// Serialize a run's trace as Chrome trace-event JSON (loadable in Perfetto
-/// or chrome://tracing). `metadata` entries are {key, pre-serialized JSON
-/// value} pairs merged into "otherData" (config fingerprint, seed, git).
+/// or chrome://tracing) through `w`; a streaming writer never holds the
+/// whole document. `metadata` entries are {key, pre-serialized JSON value}
+/// pairs merged into "otherData" (config fingerprint, seed, git).
 /// Deterministic: same run -> same bytes, at any --jobs value.
+void chrome_trace_json(
+    JsonWriter& w, const RunTelemetry& tel,
+    const std::vector<std::pair<std::string, std::string>>& metadata);
+
+/// The same document as one string (tests, goldens).
 std::string chrome_trace_json(
     const RunTelemetry& tel,
     const std::vector<std::pair<std::string, std::string>>& metadata);

@@ -1,15 +1,31 @@
 #include "obs/trace.hpp"
 
 #include <array>
-#include <map>
+#include <cstdio>
 #include <regex>
-#include <set>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "obs/json.hpp"
 #include "obs/telemetry.hpp"
 
 namespace gemsd::obs {
+
+TraceRecorder::TraceRecorder(std::size_t capacity)
+    : capacity_(capacity > 0 ? capacity : 1) {
+  try {
+    buf_.reserve(capacity_);
+  } catch (const std::exception&) {
+    // length_error above max_size() (nothing is allocated), else bad_alloc.
+    char msg[128];
+    std::snprintf(msg, sizeof msg,
+                  "--trace-capacity: cannot reserve a ring of %zu trace "
+                  "events (%.4g bytes)",
+                  capacity_,
+                  static_cast<double>(capacity_) * sizeof(TraceEvent));
+    throw std::length_error(msg);
+  }
+}
 
 const char* to_string(TraceName n) {
   switch (n) {
@@ -123,15 +139,19 @@ void emit_common(JsonWriter& w, const char* ph, const TraceEvent& e,
 
 }  // namespace
 
-std::string chrome_trace_json(
-    const RunTelemetry& tel,
+void chrome_trace_json(
+    JsonWriter& w, const RunTelemetry& tel,
     const std::vector<std::pair<std::string, std::string>>& metadata) {
   // Pass 1: fold per-txn phase totals into the txn span's args, and find the
   // node set for process-name metadata.
   std::unordered_map<std::uint64_t, PhaseTotals> phases;
-  std::set<int> nodes;
+  std::vector<char> node_seen;  // indexed by node id
   for (const TraceEvent& e : tel.events) {
-    if (e.node >= 0) nodes.insert(e.node);
+    if (e.node >= 0) {
+      const auto n = static_cast<std::size_t>(e.node);
+      if (n >= node_seen.size()) node_seen.resize(n + 1, 0);
+      node_seen[n] = 1;
+    }
     if (e.kind == TraceKind::PhaseTotal) {
       auto& pt = phases[e.id];
       switch (e.name) {
@@ -148,7 +168,6 @@ std::string chrome_trace_json(
     }
   }
 
-  JsonWriter w;
   w.begin_object();
   w.kv("displayTimeUnit", "ms");
   w.key("otherData");
@@ -181,12 +200,14 @@ std::string chrome_trace_json(
   w.kv("name", "cluster");
   w.end_object();
   w.end_object();
-  for (int n : nodes) {
+  for (std::size_t i = 0; i < node_seen.size(); ++i) {
+    if (!node_seen[i]) continue;
+    const auto n = static_cast<std::int64_t>(i);
     w.begin_object();
     w.kv("ph", "M");
     w.kv("name", "process_name");
     w.key("pid");
-    w.value(static_cast<std::int64_t>(n) + 1);
+    w.value(n + 1);
     w.key("args");
     w.begin_object();
     w.kv("name", "node" + std::to_string(n));
@@ -196,7 +217,7 @@ std::string chrome_trace_json(
     w.kv("ph", "M");
     w.kv("name", "thread_name");
     w.key("pid");
-    w.value(static_cast<std::int64_t>(n) + 1);
+    w.value(n + 1);
     w.key("tid");
     w.value(std::int64_t{0});
     w.key("args");
@@ -307,6 +328,13 @@ std::string chrome_trace_json(
 
   w.end_array();
   w.end_object();
+}
+
+std::string chrome_trace_json(
+    const RunTelemetry& tel,
+    const std::vector<std::pair<std::string, std::string>>& metadata) {
+  JsonWriter w;
+  chrome_trace_json(w, tel, metadata);
   return w.take();
 }
 

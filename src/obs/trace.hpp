@@ -1,9 +1,11 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -103,10 +105,10 @@ static_assert(sizeof(TraceEvent) == 40);
 /// bit-identical at any --jobs value.
 class TraceRecorder {
  public:
-  explicit TraceRecorder(std::size_t capacity)
-      : capacity_(capacity > 0 ? capacity : 1) {
-    buf_.reserve(capacity_);
-  }
+  /// Reserves the whole ring up front, so recording never allocates. A ring
+  /// that cannot be reserved throws std::length_error naming
+  /// --trace-capacity, the event count and the bytes asked for.
+  explicit TraceRecorder(std::size_t capacity);
 
   /// Restrict recording to the names enabled in `mask` (see
   /// trace_name_filter). Filtered events are never stored, so they neither
@@ -161,15 +163,21 @@ class TraceRecorder {
   std::size_t capacity() const { return capacity_; }
   std::uint64_t dropped() const { return dropped_; }
 
-  /// Events in chronological record order (ring resolved).
-  std::vector<TraceEvent> snapshot() const {
-    std::vector<TraceEvent> out;
-    out.reserve(buf_.size());
-    out.insert(out.end(), buf_.begin() + static_cast<std::ptrdiff_t>(head_),
-               buf_.end());
-    out.insert(out.end(), buf_.begin(),
-               buf_.begin() + static_cast<std::ptrdiff_t>(head_));
-    return out;
+  /// The i-th held event in chronological record order (0 = oldest).
+  const TraceEvent& operator[](std::size_t i) const {
+    const std::size_t j = head_ + i;
+    return buf_[j < buf_.size() ? j : j - buf_.size()];
+  }
+
+  /// Hand the events over in chronological record order, leaving the
+  /// recorder empty: the ring is rotated in place to start at its oldest
+  /// event and its buffer moved out, so the trace is never copied.
+  /// dropped() keeps its count.
+  std::vector<TraceEvent> take() {
+    const auto oldest = buf_.begin() + static_cast<std::ptrdiff_t>(head_);
+    std::rotate(buf_.begin(), oldest, buf_.end());
+    head_ = 0;
+    return std::exchange(buf_, {});
   }
 
  private:

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -54,7 +55,7 @@ TEST(Analyze, SyntheticTwoPartyCycleIsCounted) {
               static_cast<double>(b_id));
   rec.instant(obs::TraceName::kWaitEdge, 1, b_id, 2.0,
               static_cast<double>(a_id));
-  const obs::TraceAnalysis an = obs::analyze_trace(rec.snapshot(), 0);
+  const obs::TraceAnalysis an = obs::analyze_trace(rec.take(), 0);
   EXPECT_EQ(an.wait_edges, 2u);
   EXPECT_EQ(an.cycles, 1u);
   // Conflict pairs carry the waiter node and the holder's node (from the id).
@@ -69,7 +70,7 @@ TEST(Analyze, SyntheticThreePartyCycle) {
   rec.instant(obs::TraceName::kWaitEdge, 0, a, 1.0, static_cast<double>(b));
   rec.instant(obs::TraceName::kWaitEdge, 1, b, 2.0, static_cast<double>(c));
   rec.instant(obs::TraceName::kWaitEdge, 2, c, 3.0, static_cast<double>(a));
-  const obs::TraceAnalysis an = obs::analyze_trace(rec.snapshot(), 0);
+  const obs::TraceAnalysis an = obs::analyze_trace(rec.take(), 0);
   EXPECT_EQ(an.wait_edges, 3u);
   EXPECT_EQ(an.cycles, 1u);
 }
@@ -82,7 +83,7 @@ TEST(Analyze, GrantRetiresEdgesBeforeCycleForms) {
   rec.span(obs::TraceName::kLockWait, 0, a, 1.0, 2.0, /*page=*/7.0,
            /*aux=*/0);
   rec.instant(obs::TraceName::kWaitEdge, 1, b, 3.0, static_cast<double>(a));
-  const obs::TraceAnalysis an = obs::analyze_trace(rec.snapshot(), 0);
+  const obs::TraceAnalysis an = obs::analyze_trace(rec.take(), 0);
   EXPECT_EQ(an.wait_edges, 2u);
   EXPECT_EQ(an.cycles, 0u);
   // The lock.wait span also feeds the hot-page table.
@@ -99,7 +100,7 @@ TEST(Analyze, CommitAndRestartRetireEdges) {
   rec.instant(obs::TraceName::kWaitEdge, 1, b, 3.0, static_cast<double>(a));
   rec.instant(obs::TraceName::kRestart, 1, b, 4.0);
   rec.instant(obs::TraceName::kWaitEdge, 0, a, 5.0, static_cast<double>(b));
-  const obs::TraceAnalysis an = obs::analyze_trace(rec.snapshot(), 0);
+  const obs::TraceAnalysis an = obs::analyze_trace(rec.take(), 0);
   EXPECT_EQ(an.cycles, 0u);
   EXPECT_EQ(an.total.restarts, 1u);
 }
@@ -164,12 +165,10 @@ TEST(Analyze, ChromeTraceRoundTripMatchesNativeAnalysis) {
       obs::analyze_trace(r.telemetry->events, r.telemetry->events_dropped);
 
   const std::string json = obs::chrome_trace_json(*r.telemetry, {});
-  obs::JsonValue doc;
-  std::string err;
-  ASSERT_TRUE(obs::json_parse(json, doc, err)) << err;
   std::vector<obs::TraceEvent> events;
   std::uint64_t dropped = 0;
-  ASSERT_TRUE(obs::parse_chrome_trace(doc, events, dropped, err)) << err;
+  std::string err;
+  ASSERT_TRUE(obs::parse_chrome_trace(json, events, dropped, err)) << err;
   const obs::TraceAnalysis parsed = obs::analyze_trace(events, dropped);
 
   EXPECT_EQ(parsed.total.txns, native.total.txns);
@@ -187,13 +186,86 @@ TEST(Analyze, ChromeTraceRoundTripMatchesNativeAnalysis) {
 }
 
 TEST(Analyze, ParserRejectsForeignDocuments) {
-  obs::JsonValue doc;
   std::string err;
-  ASSERT_TRUE(obs::json_parse("{\"traceEvents\":[]}", doc, err));
   std::vector<obs::TraceEvent> events;
   std::uint64_t dropped = 0;
-  EXPECT_FALSE(obs::parse_chrome_trace(doc, events, dropped, err));
+  EXPECT_FALSE(
+      obs::parse_chrome_trace("{\"traceEvents\":[]}", events, dropped, err));
   EXPECT_FALSE(err.empty());
+}
+
+// The import converts traceEvents element by element, so it must not depend
+// on where otherData sits, and a cut-off array must fail like any other
+// malformed document.
+obs::RunTelemetry small_telemetry() {
+  obs::RunTelemetry tel;
+  tel.trace_enabled = true;
+  tel.events_dropped = 5;
+  obs::TraceRecorder rec(64);
+  rec.span(obs::TraceName::kTxn, 0, tid(0, 1), 1.0, 1.25, 0.0);
+  rec.phase_total(obs::TraceName::kPhaseCpu, 0, tid(0, 1), 1.25, 0.01);
+  rec.span(obs::TraceName::kLockWait, 1, tid(1, 2), 1.1, 1.2, 17.0, 2);
+  rec.instant(obs::TraceName::kWaitEdge, 1, tid(1, 2), 1.1,
+              static_cast<double>(tid(0, 1)));
+  rec.flow(obs::TraceKind::FlowBegin, 0, 9, 1.05, /*long_msg=*/true);
+  tel.events = rec.take();
+  return tel;
+}
+
+TEST(ChromeImport, OtherDataAfterTraceEventsYieldsTheSameEvents) {
+  const std::string json = obs::chrome_trace_json(small_telemetry(), {});
+  std::vector<obs::TraceEvent> first;
+  std::uint64_t first_dropped = 0;
+  std::string err;
+  ASSERT_TRUE(obs::parse_chrome_trace(json, first, first_dropped, err)) << err;
+  ASSERT_EQ(first_dropped, 5u);
+  ASSERT_FALSE(first.empty());
+
+  // Move the otherData member behind traceEvents.
+  const std::size_t od = json.find("\"otherData\":");
+  const std::size_t te = json.find(",\"traceEvents\":");
+  ASSERT_NE(od, std::string::npos);
+  ASSERT_NE(te, std::string::npos);
+  ASSERT_LT(od, te);
+  const std::string other = json.substr(od, te - od);
+  std::string moved = json.substr(0, od) + json.substr(te + 1);
+  moved.insert(moved.size() - 1, "," + other);
+  ASSERT_NE(moved, json);
+
+  std::vector<obs::TraceEvent> second;
+  std::uint64_t second_dropped = 0;
+  ASSERT_TRUE(obs::parse_chrome_trace(moved, second, second_dropped, err))
+      << err;
+  EXPECT_EQ(second_dropped, first_dropped);
+  ASSERT_EQ(second.size(), first.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&first[i], &second[i], sizeof first[i]), 0) << i;
+  }
+
+  // Without otherData, wherever it would be, the document is foreign.
+  const std::string foreign = json.substr(0, od) + json.substr(te + 1);
+  EXPECT_FALSE(obs::parse_chrome_trace(foreign, second, second_dropped, err));
+  EXPECT_NE(err.find("gemsd.trace.v1"), std::string::npos) << err;
+  EXPECT_TRUE(second.empty());
+}
+
+TEST(ChromeImport, TruncatedTraceEventsFailsWithTheParserError) {
+  const std::string json = obs::chrome_trace_json(small_telemetry(), {});
+  // Cut inside the last event, then right after a complete one.
+  const std::size_t last = json.rfind("{\"name\"");
+  ASSERT_NE(last, std::string::npos);
+  for (const std::string& cut :
+       {json.substr(0, last + 10), json.substr(0, last - 1)}) {
+    std::vector<obs::TraceEvent> events;
+    std::uint64_t dropped = 0;
+    std::string err;
+    EXPECT_FALSE(obs::parse_chrome_trace(cut, events, dropped, err));
+    obs::JsonValue doc;
+    std::string parser_err;
+    ASSERT_FALSE(obs::json_parse(cut, doc, parser_err));
+    EXPECT_EQ(err, parser_err);
+    EXPECT_TRUE(events.empty());
+  }
 }
 
 TEST(Analyze, RingDropsAreSurfacedAndSurvivable) {
@@ -265,9 +337,9 @@ void run_hostile(SystemConfig cfg, std::uint64_t seed, RunResult& out,
   }
   sys.scheduler().run_all();
   out = sys.collect();
-  ASSERT_NE(sys.trace(), nullptr);
-  events = sys.trace()->snapshot();
-  dropped = sys.trace()->dropped();
+  ASSERT_TRUE(out.telemetry && out.telemetry->trace_enabled);
+  events = out.telemetry->events;
+  dropped = out.telemetry->events_dropped;
 }
 
 class WaitForReplay : public ::testing::TestWithParam<Coupling> {};

@@ -76,7 +76,7 @@ TEST(CritPath, HolderActivityResolvesLockWaits) {
   rec.span(obs::TraceName::kIoWrite, 1, b, 2.0, 5.0, /*page=*/3.0, /*aux=*/1);
   rec.span(obs::TraceName::kCpu, 1, b, 5.0, 8.0, 0.0);
 
-  const obs::CritPathAnalysis an = obs::critical_path(rec.snapshot(), 0);
+  const obs::CritPathAnalysis an = obs::critical_path(rec.take(), 0);
   ASSERT_EQ(an.txns, 1u);
   const obs::CritBreakdown& p = an.total;
   EXPECT_NEAR(p.cpu_s, 3.5, 1e-12);
@@ -104,7 +104,7 @@ TEST(CritPath, SharedBlockingSplitsAcrossHolders) {
   rec.span(obs::TraceName::kIoRead, 1, b, 0.0, 4.0, 1.0, 0);   // B: all I/O
   rec.span(obs::TraceName::kGemAccess, 1, c, 0.0, 4.0);        // C: all GEM
 
-  const obs::CritPathAnalysis an = obs::critical_path(rec.snapshot(), 0);
+  const obs::CritPathAnalysis an = obs::critical_path(rec.take(), 0);
   ASSERT_EQ(an.txns, 1u);
   EXPECT_NEAR(an.total.lock_wait_s, 4.0, 1e-12);
   EXPECT_NEAR(an.total.lock_holder_io_s, 2.0, 1e-12);
@@ -124,7 +124,7 @@ TEST(CritPath, GapsClassifyAsBackoffMessageOrOther) {
   // Uncovered gap [9.5, 10): nothing explains it.
   rec.span(obs::TraceName::kTxn, 0, a, 0.0, 10.0);
 
-  const obs::CritPathAnalysis an = obs::critical_path(rec.snapshot(), 0);
+  const obs::CritPathAnalysis an = obs::critical_path(rec.take(), 0);
   ASSERT_EQ(an.txns, 1u);
   EXPECT_NEAR(an.total.cpu_s, 4.5, 1e-12);
   EXPECT_NEAR(an.total.backoff_s, 2.0, 1e-12);
@@ -180,12 +180,10 @@ TEST(CritPath, ImportedTraceMatchesNativeProfile) {
       obs::critical_path(r.telemetry->events, r.telemetry->events_dropped);
 
   const std::string json = obs::chrome_trace_json(*r.telemetry, {});
-  obs::JsonValue doc;
-  std::string err;
-  ASSERT_TRUE(obs::json_parse(json, doc, err)) << err;
   std::vector<obs::TraceEvent> events;
   std::uint64_t dropped = 0;
-  ASSERT_TRUE(obs::parse_chrome_trace(doc, events, dropped, err)) << err;
+  std::string err;
+  ASSERT_TRUE(obs::parse_chrome_trace(json, events, dropped, err)) << err;
   const obs::CritPathAnalysis imported = obs::critical_path(events, dropped);
 
   EXPECT_EQ(imported.txns, native.txns);
@@ -229,25 +227,21 @@ TEST(ChromeImport, FlowsAndCountersRoundTrip) {
   rec.flow(obs::TraceKind::FlowBegin, 0, 9, 2.0, /*long_msg=*/true);
   rec.flow(obs::TraceKind::FlowEnd, 1, 9, 2.5, /*long_msg=*/true);
   rec.flow(obs::TraceKind::FlowBegin, 1, 10, 3.0, /*long_msg=*/false);
-  tel.events = rec.snapshot();
+  tel.events = rec.take();
 
-  obs::JsonValue doc;
-  std::string err;
-  ASSERT_TRUE(obs::json_parse(obs::chrome_trace_json(tel, {}), doc, err))
-      << err;
+  std::string json = obs::chrome_trace_json(tel, {});
   // A counter track of a trace written before the sampler was retired: still
   // schema-valid ("C" stays in the ph enum), skipped on import.
-  obs::JsonValue legacy;
-  ASSERT_TRUE(obs::json_parse(
-      "{\"name\":\"throughput\",\"cat\":\"sampler\",\"ph\":\"C\","
-      "\"pid\":0,\"tid\":0,\"ts\":1000000,\"args\":{\"value\":42.5}}",
-      legacy, err))
-      << err;
-  auto& trace_events = doc.obj["traceEvents"].arr;
-  trace_events.insert(trace_events.begin(), legacy);
+  const std::string array = "\"traceEvents\":[";
+  const std::size_t at = json.find(array);
+  ASSERT_NE(at, std::string::npos);
+  json.insert(at + array.size(),
+              "{\"name\":\"throughput\",\"cat\":\"sampler\",\"ph\":\"C\","
+              "\"pid\":0,\"tid\":0,\"ts\":1000000,\"args\":{\"value\":42.5}},");
   std::vector<obs::TraceEvent> events;
   std::uint64_t dropped = 0;
-  ASSERT_TRUE(obs::parse_chrome_trace(doc, events, dropped, err)) << err;
+  std::string err;
+  ASSERT_TRUE(obs::parse_chrome_trace(json, events, dropped, err)) << err;
   ASSERT_EQ(events.size(), 3u);
 
   EXPECT_EQ(events[0].kind, obs::TraceKind::FlowBegin);
@@ -284,7 +278,7 @@ TEST(TraceFilter, FilteredEventsNeverEnterTheRing) {
   // Filtered events occupy no slots and never count as dropped.
   EXPECT_EQ(rec.size(), 1u);
   EXPECT_EQ(rec.dropped(), 0u);
-  EXPECT_EQ(rec.snapshot()[0].name, obs::TraceName::kCommit);
+  EXPECT_EQ(rec.take()[0].name, obs::TraceName::kCommit);
 }
 
 TEST(TraceFilter, DoesNotPerturbTheSimulationAndRecordsOnlyMatches) {

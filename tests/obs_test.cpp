@@ -4,7 +4,17 @@
 // perturb the simulation, and traces are bit-identical at any --jobs value.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <limits>
+#include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -63,6 +73,53 @@ TEST(Json, WriterParserRoundtrip) {
   EXPECT_EQ(doc.find("missing")->kind, obs::JsonValue::Kind::Null);
   ASSERT_EQ(doc.find("list")->arr.size(), 2u);
   EXPECT_DOUBLE_EQ(doc.find("nested")->find("x")->num, 1.0);
+}
+
+TEST(Json, NumbersMatchPrintf) {
+  // The writer formats with std::to_chars; its documents must keep the
+  // bytes of the %lld / %.12g formatting they were defined with.
+  const auto printf_number = [](double v) {
+    char buf[40];
+    if (!std::isfinite(v)) return std::string("0");
+    if (v == std::floor(v) && std::fabs(v) < 1e15) {
+      std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
+    } else {
+      std::snprintf(buf, sizeof buf, "%.12g", v);
+    }
+    return std::string(buf);
+  };
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.5, 0.1, 1e-300, 5e-324, -2.5e-310, 1e15,
+      1e15 - 1, 999999999999999.5, 1e16, 123456789012.5, 1e21, 1e22, 1e300,
+      1.7976931348623157e308, 0.000123456789012345, 1234.5678, 9.99999999999995,
+      std::numeric_limits<double>::infinity(), std::nan("")};
+  std::mt19937_64 eng(7);
+  for (int i = 0; i < 20000; ++i) {
+    // Random bit patterns cover every exponent; scaled uniforms cover the
+    // ranges traces and metrics actually hold.
+    const std::uint64_t bits = eng();
+    double d;
+    std::memcpy(&d, &bits, sizeof d);
+    values.push_back(d);
+    const double u = static_cast<double>(eng() >> 11) * 0x1p-53;
+    values.push_back(u * std::pow(10.0, static_cast<double>(i % 24 - 12)));
+  }
+  for (double v : values) {
+    ASSERT_EQ(obs::JsonWriter::number(v), printf_number(v)) << v;
+    obs::JsonWriter w;
+    w.value(v);
+    ASSERT_EQ(w.str(), printf_number(v));
+  }
+  for (std::int64_t v : {std::int64_t{0}, std::int64_t{-1},
+                         std::numeric_limits<std::int64_t>::min(),
+                         std::numeric_limits<std::int64_t>::max()}) {
+    obs::JsonWriter w;
+    w.value(v);
+    EXPECT_EQ(w.str(), std::to_string(v));
+  }
+  obs::JsonWriter w;
+  w.value(std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(w.str(), "18446744073709551615");
 }
 
 TEST(Json, ParserRejectsMalformedInput) {
@@ -137,7 +194,7 @@ TEST(TraceRecorder, RingOverwritesOldestAndCountsDropped) {
   EXPECT_EQ(rec.size(), 4u);
   EXPECT_EQ(rec.capacity(), 4u);
   EXPECT_EQ(rec.dropped(), 2u);
-  const auto events = rec.snapshot();
+  const auto events = rec.take();
   ASSERT_EQ(events.size(), 4u);
   // Oldest two (t=0, t=1) were overwritten; the rest come back in order.
   for (int i = 0; i < 4; ++i) {
@@ -156,9 +213,46 @@ TEST(TraceRecorder, ClearResetsRingAndDropCounter) {
   EXPECT_EQ(rec.size(), 0u);
   EXPECT_EQ(rec.dropped(), 0u);
   rec.instant(obs::TraceName::kCommit, 0, 1, 9.0);
-  const auto events = rec.snapshot();
+  const auto events = rec.take();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_DOUBLE_EQ(events[0].t, 9.0);
+}
+
+TEST(TraceRecorder, TakeHandsOverTheWrappedRingInOrder) {
+  obs::TraceRecorder rec(4);
+  for (int i = 0; i < 6; ++i) {
+    rec.instant(obs::TraceName::kCommit, 0, static_cast<std::uint64_t>(i + 1),
+                static_cast<double>(i));
+  }
+  // Indexed reads (the auditor's cursor) see the ring in order, unrotated.
+  EXPECT_DOUBLE_EQ(rec[0].t, 2.0);
+  EXPECT_DOUBLE_EQ(rec[3].t, 5.0);
+  const std::vector<obs::TraceEvent> events = rec.take();
+  ASSERT_EQ(events.size(), 4u);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_DOUBLE_EQ(events[i].t, static_cast<double>(i + 2));
+  }
+  EXPECT_EQ(rec.dropped(), 2u);
+  EXPECT_EQ(rec.size(), 0u);
+  EXPECT_TRUE(rec.take().empty());
+}
+
+TEST(TraceRecorder, UnreservableCapacityNamesTheFlag) {
+  // Above max_size() reserve throws before it allocates anything (a
+  // merely huge request would reach the allocator, which a sanitizer build
+  // turns into an abort instead of bad_alloc).
+  const std::size_t too_many = std::vector<obs::TraceEvent>().max_size() + 1;
+  try {
+    obs::TraceRecorder rec(too_many);
+    FAIL() << "a ring of " << too_many << " events was reserved";
+  } catch (const std::length_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--trace-capacity"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(too_many) + " trace events"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("bytes"), std::string::npos) << what;
+  }
 }
 
 TEST(SlowTxnLog, KeepsKSlowestInDeterministicOrder) {
@@ -192,7 +286,7 @@ TEST(ChromeTrace, GoldenSnippet) {
   rec.instant(obs::TraceName::kCommit, 0, 3, 1.05);
   rec.flow(obs::TraceKind::FlowBegin, 0, 7, 1.01, false);
   rec.flow(obs::TraceKind::FlowEnd, 1, 7, 1.02, false);
-  tel.events = rec.snapshot();
+  tel.events = rec.take();
 
   const std::string json = obs::chrome_trace_json(tel, {{"seed", "42"}});
 
@@ -228,6 +322,51 @@ TEST(ChromeTrace, GoldenSnippet) {
   obs::JsonValue doc;
   std::string err;
   EXPECT_TRUE(obs::json_parse(json, doc, err)) << err;
+}
+
+TEST(ChromeTrace, StreamedExportEqualsInMemoryRender) {
+  const RunResult r = run_debit_credit([] {
+    SystemConfig cfg = quick_config();
+    cfg.obs.trace = true;
+    return cfg;
+  }());
+  ASSERT_TRUE(r.telemetry && r.telemetry->trace_enabled);
+  const std::vector<std::pair<std::string, std::string>> meta = {
+      {"seed", "42"}};
+  const std::string whole = obs::chrome_trace_json(*r.telemetry, meta);
+  ASSERT_GT(whole.size(), 4 * obs::JsonWriter::kFlushBytes);
+
+  // Through a sink: several chunks, none far beyond the flush size.
+  std::string joined;
+  std::size_t chunks = 0, largest = 0;
+  {
+    obs::JsonWriter w([&](std::string_view chunk) {
+      joined += chunk;
+      ++chunks;
+      largest = std::max(largest, chunk.size());
+    });
+    obs::chrome_trace_json(w, *r.telemetry, meta);
+    w.flush();
+  }
+  EXPECT_EQ(joined, whole);
+  EXPECT_GE(chunks, 4u);
+  EXPECT_LE(largest, obs::JsonWriter::kFlushBytes + 1024);
+
+  // Through the streaming file writer, as write_artifacts does it.
+  const std::string path = ::testing::TempDir() + "gemsd_streamed_trace_" +
+                           std::to_string(::getpid()) + ".json";
+  ASSERT_EQ(obs::write_file(path,
+                            [&](const obs::ByteSink& sink) {
+                              obs::JsonWriter w(sink);
+                              obs::chrome_trace_json(w, *r.telemetry, meta);
+                              w.flush();
+                            }),
+            "");
+  std::ifstream in(path, std::ios::binary);
+  const std::string file((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  EXPECT_EQ(file, whole);
 }
 
 // ------------------------------------------------------------- fingerprints

@@ -111,6 +111,18 @@ TEST(BenchArgs, RejectsMaxNodesBelowOne) {
   }
 }
 
+TEST(BenchArgs, RejectsZeroTraceCapacity) {
+  // --trace-capacity=0 ran with a one-event ring (the recorder clamps to 1)
+  // and exited 0 having exported a single event.
+  for (const char* a : {"--trace-capacity=0", "--trace-capacity=-1"}) {
+    BenchOptions o;
+    EXPECT_NE(try_parse_bench_args({a}, o), "") << a;
+  }
+  BenchOptions o;
+  EXPECT_EQ(try_parse_bench_args({"--trace-capacity=1"}, o), "");
+  EXPECT_EQ(o.trace_capacity, 1u);
+}
+
 TEST(BenchArgs, UsageListsEveryFlag) {
   const std::string u = bench_usage();
   for (const char* flag :

@@ -59,11 +59,12 @@
 //
 // Exit codes: 0 clean, 1 regression / failed cross-check, 2 bad input or a
 // file that cannot be written.
+#include <sys/stat.h>
+
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "core/parse_number.hpp"
@@ -75,16 +76,35 @@
 
 namespace {
 
-bool load_json(const std::string& path, gemsd::obs::JsonValue& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+/// Read the whole file into `out`, sized once for a regular file, so each
+/// input is held exactly once.
+bool read_file(const std::string& path, std::string& out) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (!f) {
     std::fprintf(stderr, "error: cannot open %s\n", path.c_str());
     return false;
   }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  std::string error;
-  if (!gemsd::obs::json_parse(ss.str(), out, error)) {
+  struct stat st;
+  if (::fstat(::fileno(f), &st) == 0 && S_ISREG(st.st_mode)) {
+    out.reserve(static_cast<std::size_t>(st.st_size));
+  }
+  char buf[1 << 16];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
+  const int err = std::ferror(f) ? errno : 0;
+  std::fclose(f);
+  if (err != 0) {
+    std::fprintf(stderr, "error: cannot read %s: %s\n", path.c_str(),
+                 std::strerror(err));
+    return false;
+  }
+  return true;
+}
+
+bool load_json(const std::string& path, gemsd::obs::JsonValue& out) {
+  std::string text, error;
+  if (!read_file(path, text)) return false;
+  if (!gemsd::obs::json_parse(text, out, error)) {
     std::fprintf(stderr, "error: %s: %s\n", path.c_str(), error.c_str());
     return false;
   }
@@ -298,15 +318,17 @@ int main(int argc, char** argv) {
     return rep.drifting ? 1 : 0;
   }
 
-  obs::JsonValue doc;
-  if (!load_json(trace_path, doc)) return 2;
   std::vector<obs::TraceEvent> events;
   std::uint64_t dropped = 0;
-  std::string error;
-  if (!obs::parse_chrome_trace(doc, events, dropped, error)) {
-    std::fprintf(stderr, "error: %s: %s\n", trace_path.c_str(), error.c_str());
-    return 2;
-  }
+  {
+    std::string text, error;
+    if (!read_file(trace_path, text)) return 2;
+    if (!obs::parse_chrome_trace(text, events, dropped, error)) {
+      std::fprintf(stderr, "error: %s: %s\n", trace_path.c_str(),
+                   error.c_str());
+      return 2;
+    }
+  }  // the text goes before the analysis builds its tables
 
   if (critpath) {
     const obs::CritPathAnalysis cp = obs::critical_path(events, dropped);
