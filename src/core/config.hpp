@@ -146,8 +146,8 @@ struct SystemConfig {
     /// No effect: nothing reads it since the periodic sampler was retired
     /// (the per-window time series below replaces it). Kept only because
     /// config_json serializes it and config_hash hashes that text, so
-    /// removing it would move every committed baseline's hash. It goes at
-    /// the next re-baseline.
+    /// removing it would move every config hash in results/LEDGER.tsv. It
+    /// goes at the next re-baseline.
     sim::SimTime sample_every = 0.0;
     /// Keep the K slowest transactions with full phase breakdowns (0 = off).
     int slow_k = 0;

@@ -297,8 +297,7 @@ void write_metrics_object(obs::JsonWriter& w, const RunResult& r,
   w.kv("queue", r.brk_queue_ms);
   w.end_object();
   // Additive v1 extension: tail percentiles of the response time and of each
-  // breakdown phase (ms). --compare reads only resp_ms/resp_ci_ms/throughput,
-  // so baselines written before this key stay comparable.
+  // breakdown phase (ms).
   w.key("percentiles");
   w.begin_object();
   const auto pct = [&w](const char* key, const RunResult::Percentiles& p) {
@@ -317,9 +316,6 @@ void write_metrics_object(obs::JsonWriter& w, const RunResult& r,
   pct("queue_ms", r.pct_queue);
   w.end_object();
   // Additive v1 extension: per-GEM-shard rows (one row when gem_shards=1).
-  // --compare gates these whenever both documents carry the block, so a
-  // sharding regression in any single shard fails the comparison even when
-  // the aggregate gem_util happens to average out.
   w.key("gem_shards");
   w.begin_array();
   for (const auto& gs : r.gem_shards) {
@@ -407,7 +403,6 @@ void results_json(obs::JsonWriter& w, const std::string& bench,
   for (const auto& run : runs) {
     w.begin_object();
     w.kv("config_hash", obs::config_hash_hex(run.config));
-    w.kv("name", run.name);
     w.key("config");
     w.raw(obs::config_json(run.config));
     w.key("metrics");

@@ -117,9 +117,6 @@ void apply_obs_options(std::vector<SystemConfig>& cfgs,
 struct BenchRun {
   SystemConfig config;
   RunResult result;
-  /// Distinguishes runs that share one config (e.g. the kernel
-  /// micro-benchmarks); "" for ordinary sweep points.
-  std::string name;
   std::vector<std::pair<std::string, double>> extra;
 };
 

@@ -1,7 +1,10 @@
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/config.hpp"
@@ -13,7 +16,8 @@ struct RunTelemetry;
 namespace gemsd {
 
 /// Final numbers of one simulation run — everything the paper's figures and
-/// our analysis tables are built from.
+/// our analysis tables are built from. A new field must also join
+/// for_each_value, or no digest, ledger line or run check sees it.
 struct RunResult {
   // configuration echo
   int nodes = 0;
@@ -63,8 +67,7 @@ struct RunResult {
 
   /// p50/p95/p99 of one per-transaction distribution (ms), read off a
   /// sim::Histogram — response time plus each breakdown phase. Exported in
-  /// the "percentiles" object of gemsd.results.v1 (additive; --compare
-  /// ignores it, so committed baselines stay green).
+  /// the "percentiles" object of gemsd.results.v1.
   struct Percentiles {
     double p50 = 0, p95 = 0, p99 = 0;
   };
@@ -72,8 +75,7 @@ struct RunResult {
 
   /// Per-GEM-shard station stats (index = shard). Always populated (size =
   /// gem_shards, >= 1); exported as the "gem_shards" array of
-  /// gemsd.results.v1 and tolerance-gated by gemsd_analyze --compare when
-  /// both documents carry it.
+  /// gemsd.results.v1.
   struct GemShardStat {
     double util = 0;
     double queue_mean = 0;
@@ -90,6 +92,24 @@ struct RunResult {
 
   std::string label() const;
 };
+
+/// Every simulated value of a run, in a fixed order, with its name: the
+/// configuration echo, the headline values, hit ratios by partition index
+/// ("hit_ratio.0"), percentiles ("pct_resp.p50"), GEM shards
+/// ("gem_shard0.util"), then the detail block minus the event kernel's
+/// bookkeeping (`sched.*`, `engine.*`: wall-clock rate, event counts, queue
+/// depth). Bench-specific extras stay out: some are host measurements.
+void for_each_value(const RunResult& r,
+                    const std::function<void(std::string_view, double)>& fn);
+
+/// FNV-1a over every for_each_value name's bytes and value's bit pattern:
+/// equal digests mean bit-identical simulated statistics.
+std::uint64_t run_digest(const RunResult& r);
+
+/// "" when the run is sane: it committed a transaction, carries a detail
+/// block without a coherency violation, and every value is finite.
+/// Otherwise the first problem found, e.g. "no transaction committed".
+std::string run_failure(const RunResult& r);
 
 /// Pretty-print a series of runs as an aligned table (one row per run) with
 /// the given caption; `columns` selects the metric set ("paper" keeps it

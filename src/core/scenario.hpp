@@ -19,7 +19,9 @@ struct DimValue {
   std::string label;
   std::function<void(SystemConfig&)> apply;  ///< may be null (label-only)
   int nodes = -1;                            ///< >= 0: node-axis value
-  std::vector<std::pair<std::string, double>> extra;
+  /// `{}` lets brace-initialized values omit it without a
+  /// -Wmissing-field-initializers warning.
+  std::vector<std::pair<std::string, double>> extra{};
 };
 
 /// One dimension of a scenario's parameter grid. Dimensions multiply out in

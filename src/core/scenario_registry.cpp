@@ -1,8 +1,9 @@
 // The compiled-in scenario registry: every paper figure (4.1-4.7, Table
 // 4.1), every ablation, and the related-work/availability experiments as
 // declarative entries. Grids, captions, and run order are exactly what the
-// retired bench_*.cpp mains produced, so the committed results/BENCH_*.json
-// baselines keep matching run-for-run.
+// retired bench_*.cpp mains produced. Every --quick run's config hash and
+// result digest is pinned in results/LEDGER.tsv (tests/ledger_test.cpp), so
+// an edit here that moves any run shows up as a ledger diff.
 #include <algorithm>
 #include <cstdio>
 #include <memory>

@@ -467,8 +467,7 @@ RunResult System::collect() {
     r.gem_util = g / static_cast<double>(storage_->gem_shards());
   }
   // Per-shard GEM rows (always populated; one row when gem_shards=1). These
-  // are first-class results — `gemsd_analyze --compare` gates them whenever
-  // both documents carry the block.
+  // are first-class results: run_digest covers every shard's values.
   for (int s = 0; s < storage_->gem_shards(); ++s) {
     const auto& dev = storage_->gem(s);
     RunResult::GemShardStat gs;
@@ -659,8 +658,8 @@ RunResult System::collect() {
     }
   });
   // Scheduler self-metrics. Everything except wall_events_per_s is a
-  // property of the schedule. Additive only — `gemsd_analyze --compare`
-  // ignores detail keys.
+  // property of the schedule. for_each_value leaves `sched.*` out, so none
+  // of them moves a run_digest.
   add("sched.queued_events", static_cast<double>(sched_.queued_events()));
   add("sched.events", static_cast<double>(sched_.events_processed()));
   add("sched.max_queue_depth", static_cast<double>(sched_.max_queued()));

@@ -394,137 +394,6 @@ Reconciliation reconcile(const TraceAnalysis& a, const JsonValue& metrics,
   return r;
 }
 
-// ----------------------------------------------------------- run comparison
-
-namespace {
-
-struct RunRef {
-  std::string key;
-  const JsonValue* metrics = nullptr;
-};
-
-/// Identity of one sweep point inside a results document: config hash plus
-/// label plus the bench-assigned run name (kernel micro-benches share one
-/// config but differ by name).
-std::vector<RunRef> index_runs(const JsonValue& doc, std::string& error) {
-  std::vector<RunRef> refs;
-  const JsonValue* schema = doc.find("schema");
-  if (!schema || !schema->is_string() || schema->str != "gemsd.results.v1") {
-    error = "not a gemsd.results.v1 document";
-    return refs;
-  }
-  const JsonValue* runs = doc.find("runs");
-  if (!runs || !runs->is_array()) {
-    error = "runs array missing";
-    return refs;
-  }
-  std::map<std::string, int> seen;
-  for (const JsonValue& run : runs->arr) {
-    RunRef ref;
-    const JsonValue* hash = run.find("config_hash");
-    const JsonValue* name = run.find("name");
-    ref.metrics = run.find("metrics");
-    const JsonValue* label = ref.metrics ? ref.metrics->find("label") : nullptr;
-    ref.key = (hash && hash->is_string() ? hash->str : "?");
-    ref.key += "|";
-    ref.key += label && label->is_string() ? label->str : "?";
-    if (name && name->is_string() && !name->str.empty()) {
-      ref.key += "|" + name->str;
-    }
-    // Disambiguate genuinely identical sweep points by occurrence index.
-    const int n = seen[ref.key]++;
-    if (n > 0) ref.key += "#" + std::to_string(n);
-    refs.push_back(ref);
-  }
-  return refs;
-}
-
-}  // namespace
-
-CompareReport compare_results(const JsonValue& baseline,
-                              const JsonValue& candidate, double tolerance) {
-  CompareReport rep;
-  std::string err_a, err_b;
-  const std::vector<RunRef> base = index_runs(baseline, err_a);
-  const std::vector<RunRef> cand = index_runs(candidate, err_b);
-  if (!err_a.empty() || !err_b.empty()) {
-    rep.error = !err_a.empty() ? "baseline: " + err_a : "candidate: " + err_b;
-    return rep;
-  }
-
-  std::map<std::string, const JsonValue*> cand_by_key;
-  for (const RunRef& c : cand) cand_by_key[c.key] = c.metrics;
-  std::set<std::string> matched;
-
-  for (const RunRef& b : base) {
-    auto it = cand_by_key.find(b.key);
-    if (it == cand_by_key.end() || !b.metrics || !it->second) {
-      rep.unmatched_base.push_back(b.key);
-      continue;
-    }
-    matched.insert(b.key);
-    const JsonValue& mb = *b.metrics;
-    const JsonValue& mc = *it->second;
-
-    RunDelta d;
-    d.key = b.key;
-    d.base_resp_ms = num_or(mb.find("resp_ms"), 0.0);
-    d.cand_resp_ms = num_or(mc.find("resp_ms"), 0.0);
-    d.base_ci_ms = num_or(mb.find("resp_ci_ms"), 0.0);
-    d.cand_ci_ms = num_or(mc.find("resp_ci_ms"), 0.0);
-    d.base_tput = num_or(mb.find("throughput"), 0.0);
-    d.cand_tput = num_or(mc.find("throughput"), 0.0);
-
-    // Response: significant iff the delta clears BOTH the statistical band
-    // (sum of the 95% CI half-widths; 0 for single-batch runs) and the
-    // relative tolerance band.
-    const double resp_delta = d.cand_resp_ms - d.base_resp_ms;
-    const double resp_band =
-        std::max(d.base_ci_ms + d.cand_ci_ms, tolerance * d.base_resp_ms);
-    d.resp_regressed = resp_delta > resp_band && resp_band > 0.0;
-    d.resp_improved = -resp_delta > resp_band && resp_band > 0.0;
-
-    // Throughput carries no CI in the schema: relative band only.
-    const double tput_band = tolerance * d.base_tput;
-    d.tput_regressed = d.base_tput - d.cand_tput > tput_band && tput_band > 0.0;
-    d.tput_improved = d.cand_tput - d.base_tput > tput_band && tput_band > 0.0;
-
-    // Per-shard gating (additive "gem_shards" block): only when both
-    // documents carry it with the same shard count — older baselines stay
-    // comparable. A shard whose utilization or mean queue length grew beyond
-    // the relative band regresses the pair even when the aggregate gem_util
-    // averages out across shards.
-    const JsonValue* sb = mb.find("gem_shards");
-    const JsonValue* sc = mc.find("gem_shards");
-    if (sb && sc && sb->is_array() && sc->is_array() &&
-        sb->arr.size() == sc->arr.size()) {
-      for (std::size_t i = 0; i < sb->arr.size(); ++i) {
-        const double ub = num_or(sb->arr[i].find("util"), 0.0);
-        const double uc = num_or(sc->arr[i].find("util"), 0.0);
-        const double qb = num_or(sb->arr[i].find("queue_mean"), 0.0);
-        const double qc = num_or(sc->arr[i].find("queue_mean"), 0.0);
-        if ((uc - ub > tolerance * ub && ub > 0.0) ||
-            (qc - qb > tolerance * qb && qb > 0.0)) {
-          ++d.shard_regressions;
-        }
-      }
-    }
-
-    if (d.resp_regressed || d.tput_regressed || d.shard_regressions > 0) {
-      ++rep.regressions;
-    }
-    if ((d.resp_improved || d.tput_improved) && !d.resp_regressed &&
-        !d.tput_regressed && d.shard_regressions == 0) {
-      ++rep.improvements;
-    }
-    rep.deltas.push_back(d);
-  }
-  for (const RunRef& c : cand) {
-    if (!matched.count(c.key)) rep.unmatched_cand.push_back(c.key);
-  }
-  return rep;
-}
-
 // -------------------------------------------------------------- formatting
 
 std::string format_analysis(const TraceAnalysis& a, int top_k) {
@@ -592,46 +461,6 @@ std::string format_reconciliation(const Reconciliation& r) {
   }
   append(s, "  worst relative error %.3f%% -> %s\n", r.worst_rel_err * 1e2,
          r.ok ? "OK" : "MISMATCH");
-  return s;
-}
-
-std::string format_compare(const CompareReport& r, double tolerance) {
-  std::string s;
-  append(s, "compare: tolerance %.1f%% + batch-means CIs\n", tolerance * 1e2);
-  for (const RunDelta& d : r.deltas) {
-    const char* flag = "";
-    if (d.resp_regressed || d.tput_regressed || d.shard_regressions > 0) {
-      flag = "  ** REGRESSION";
-    } else if (d.resp_improved || d.tput_improved) {
-      flag = "  improved";
-    }
-    const double resp_pct =
-        d.base_resp_ms > 0.0
-            ? (d.cand_resp_ms - d.base_resp_ms) / d.base_resp_ms * 1e2
-            : 0.0;
-    const double tput_pct =
-        d.base_tput > 0.0 ? (d.cand_tput - d.base_tput) / d.base_tput * 1e2
-                          : 0.0;
-    append(s,
-           "  %s: resp %.2f -> %.2f ms (%+.1f%%, ci ±%.2f/±%.2f), tput %.1f "
-           "-> %.1f /s (%+.1f%%)%s\n",
-           d.key.c_str(), d.base_resp_ms, d.cand_resp_ms, resp_pct,
-           d.base_ci_ms, d.cand_ci_ms, d.base_tput, d.cand_tput, tput_pct,
-           flag);
-    if (d.shard_regressions > 0) {
-      append(s, "    %d GEM shard(s) over the band (util or queue_mean)\n",
-             d.shard_regressions);
-    }
-  }
-  for (const std::string& k : r.unmatched_base) {
-    append(s, "  only in baseline: %s\n", k.c_str());
-  }
-  for (const std::string& k : r.unmatched_cand) {
-    append(s, "  only in candidate: %s\n", k.c_str());
-  }
-  append(s, "%d regressions, %d improvements, %zu+%zu unmatched\n",
-         r.regressions, r.improvements, r.unmatched_base.size(),
-         r.unmatched_cand.size());
   return s;
 }
 

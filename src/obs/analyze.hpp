@@ -10,7 +10,7 @@
 namespace gemsd::obs {
 
 /// Offline trace/metrics analysis (tools/gemsd_analyze): contention
-/// attribution, wait-for graph replay, and statistical run comparison.
+/// attribution, wait-for graph replay, and the trace-vs-results cross-check.
 /// Everything here is deterministic — same inputs, same bytes out — so the
 /// CLI output can be golden-tested and diffed across machines.
 
@@ -111,47 +111,8 @@ struct Reconciliation {
 Reconciliation reconcile(const TraceAnalysis& a, const JsonValue& metrics,
                          double tolerance = 0.01);
 
-/// One matched run pair of a --compare invocation.
-struct RunDelta {
-  std::string key;           ///< label [+ name] identifying the sweep point
-  double base_resp_ms = 0, cand_resp_ms = 0;
-  double base_ci_ms = 0, cand_ci_ms = 0;
-  double base_tput = 0, cand_tput = 0;
-  /// Response regression: candidate mean above baseline by more than the
-  /// combined CI half-widths AND the relative tolerance band.
-  bool resp_regressed = false;
-  bool resp_improved = false;
-  /// Throughput regression: candidate below baseline by more than the
-  /// relative tolerance (throughput carries no CI in the results schema).
-  bool tput_regressed = false;
-  bool tput_improved = false;
-  /// Per-GEM-shard gating: when BOTH documents carry the (additive)
-  /// "gem_shards" block with the same shard count, each shard's utilization
-  /// and mean queue length are compared under the same relative band. A
-  /// single overloaded shard regresses the pair even when the aggregate
-  /// gem_util averages out. 0 when either document predates the block.
-  int shard_regressions = 0;
-};
-
-struct CompareReport {
-  std::vector<RunDelta> deltas;     ///< baseline document order
-  int regressions = 0;              ///< matched pairs with any *_regressed
-  int improvements = 0;
-  std::vector<std::string> unmatched_base;  ///< keys only in the baseline
-  std::vector<std::string> unmatched_cand;  ///< keys only in the candidate
-  std::string error;                ///< non-empty: documents not comparable
-};
-
-/// Diff two gemsd.results.v1 documents. Runs are matched by config hash plus
-/// run label (and bench-assigned run name, when present); `tolerance` is the
-/// relative band (0.05 = 5%) added on top of the batch-means CIs.
-CompareReport compare_results(const JsonValue& baseline,
-                              const JsonValue& candidate,
-                              double tolerance = 0.05);
-
 /// Human-readable reports (deterministic bytes; used by the CLI and tests).
 std::string format_analysis(const TraceAnalysis& a, int top_k);
 std::string format_reconciliation(const Reconciliation& r);
-std::string format_compare(const CompareReport& r, double tolerance);
 
 }  // namespace gemsd::obs

@@ -177,10 +177,19 @@ struct Parser {
   const std::function<void(const JsonValue&)>* each = nullptr;
   bool at_top = true;  ///< the next value parsed is the document itself
 
+  /// Containers open around the current value. Each level is one
+  /// parse_value frame, so a document nested deeper than kMaxDepth fails
+  /// with "nesting too deep" instead of overflowing the stack.
+  static constexpr int kMaxDepth = 512;
+  int depth = 0;
+
   void skip_ws() {
     while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) ++p;
   }
   bool parse_value(JsonValue& out);
+  /// The members of an object whose '{' was consumed. `top`: the object is
+  /// the document itself, whose `each_key` array json_parse_each streams.
+  bool parse_members(JsonValue& out, bool top);
 
   /// The elements of an array whose '[' was consumed, each passed to
   /// `element` as an rvalue once parsed.
@@ -253,46 +262,57 @@ struct Parser {
   }
 };
 
+bool Parser::parse_members(JsonValue& out, bool top) {
+  out.kind = JsonValue::Kind::Object;
+  skip_ws();
+  if (p < end && *p == '}') { ++p; return true; }
+  for (;;) {
+    skip_ws();
+    std::string k;
+    if (!parse_string(k)) return false;
+    skip_ws();
+    if (p >= end || *p != ':') return fail("expected ':'");
+    ++p;
+    JsonValue v;
+    skip_ws();
+    if (top && each && k == each_key && p < end && *p == '[') {
+      ++p;
+      v.kind = JsonValue::Kind::Array;
+      ++depth;
+      if (!parse_elements(*each)) return false;
+      --depth;
+    } else if (!parse_value(v)) {
+      return false;
+    }
+    out.obj.emplace(std::move(k), std::move(v));
+    skip_ws();
+    if (p < end && *p == ',') { ++p; continue; }
+    if (p < end && *p == '}') { ++p; return true; }
+    return fail("expected ',' or '}'");
+  }
+}
+
 bool Parser::parse_value(JsonValue& out) {
   const bool top = at_top;
   at_top = false;
   skip_ws();
   if (p >= end) return fail("unexpected end of input");
   const char c = *p;
-  if (c == '{') {
+  if (c == '{' || c == '[') {
+    if (depth == kMaxDepth) return fail("nesting too deep");
     ++p;
-    out.kind = JsonValue::Kind::Object;
-    skip_ws();
-    if (p < end && *p == '}') { ++p; return true; }
-    for (;;) {
-      skip_ws();
-      std::string k;
-      if (!parse_string(k)) return false;
-      skip_ws();
-      if (p >= end || *p != ':') return fail("expected ':'");
-      ++p;
-      JsonValue v;
-      skip_ws();
-      if (top && each && k == each_key && p < end && *p == '[') {
-        ++p;
-        v.kind = JsonValue::Kind::Array;
-        if (!parse_elements(*each)) return false;
-      } else if (!parse_value(v)) {
-        return false;
-      }
-      out.obj.emplace(std::move(k), std::move(v));
-      skip_ws();
-      if (p < end && *p == ',') { ++p; continue; }
-      if (p < end && *p == '}') { ++p; return true; }
-      return fail("expected ',' or '}'");
+    ++depth;
+    bool ok;
+    if (c == '{') {
+      ok = parse_members(out, top);
+    } else {
+      out.kind = JsonValue::Kind::Array;
+      ok = parse_elements([&out](JsonValue&& v) {
+        out.arr.push_back(std::move(v));
+      });
     }
-  }
-  if (c == '[') {
-    ++p;
-    out.kind = JsonValue::Kind::Array;
-    return parse_elements([&out](JsonValue&& v) {
-      out.arr.push_back(std::move(v));
-    });
+    --depth;
+    return ok;
   }
   if (c == '"') {
     out.kind = JsonValue::Kind::String;

@@ -15,7 +15,7 @@
 /// recorder pointer in Metrics becomes a constexpr nullptr and the guarded
 /// branches are dead code); the default build keeps tracing available behind
 /// a single predictable null-pointer test per site, which is unreachable from
-/// the event-kernel hot loops (bench_kernel never touches a record site).
+/// the event-kernel hot loops (the scheduler itself has no record site).
 #ifndef GEMSD_TRACING_ENABLED
 #define GEMSD_TRACING_ENABLED 1
 #endif

@@ -19,7 +19,7 @@ Scheduler::~Scheduler() {
 // extra comparisons per level are nearly free while the sift paths — the
 // part deep queues pay for — shrink by 2x. Because (t, key) is a strict
 // total order (key embeds the unique schedule sequence number), pop order is
-// independent of heap arity. See BM_QueueDepth in bench/bench_kernel.cpp.
+// independent of heap arity.
 void Scheduler::push(Ev ev) {
   if (heap_.size() == size_ + kPad) heap_.push_back(kSentinel);
   // Sift up: hole-based (move the parent down instead of swapping).

@@ -1,7 +1,6 @@
 // Offline trace analysis (src/obs/analyze.*): contention attribution,
-// wait-for graph replay against the simulator's deadlock counter, the
-// Chrome-trace round trip the gemsd_analyze CLI rides on, and the
-// statistical run comparison used by the CI bench-regression gate.
+// wait-for graph replay against the simulator's deadlock counter, and the
+// Chrome-trace round trip the gemsd_analyze CLI rides on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -377,105 +376,6 @@ INSTANTIATE_TEST_SUITE_P(Couplings, WaitForReplay,
                            }
                            return "?";
                          });
-
-// ------------------------------------------------------------- comparison
-
-std::string results_doc(double resp_ms, double ci_ms, double tput,
-                        const char* label = "GEM/NOFORCE/random",
-                        const char* name = "") {
-  obs::JsonWriter w;
-  w.begin_object();
-  w.kv("schema", "gemsd.results.v1");
-  w.key("runs");
-  w.begin_array();
-  w.begin_object();
-  w.kv("config_hash", "abcd");
-  w.kv("name", name);
-  w.key("metrics");
-  w.begin_object();
-  w.kv("label", label);
-  w.kv("resp_ms", resp_ms);
-  w.kv("resp_ci_ms", ci_ms);
-  w.kv("throughput", tput);
-  w.end_object();
-  w.end_object();
-  w.end_array();
-  w.end_object();
-  return w.take();
-}
-
-obs::JsonValue parse(const std::string& s) {
-  obs::JsonValue doc;
-  std::string err;
-  EXPECT_TRUE(obs::json_parse(s, doc, err)) << err;
-  return doc;
-}
-
-TEST(Compare, QuietOnIdenticalRuns) {
-  const obs::JsonValue a = parse(results_doc(60.0, 1.5, 1000.0));
-  const obs::JsonValue b = parse(results_doc(60.0, 1.5, 1000.0));
-  const obs::CompareReport rep = obs::compare_results(a, b, 0.05);
-  ASSERT_TRUE(rep.error.empty()) << rep.error;
-  EXPECT_EQ(rep.regressions, 0);
-  EXPECT_EQ(rep.improvements, 0);
-  ASSERT_EQ(rep.deltas.size(), 1u);
-  EXPECT_TRUE(rep.unmatched_base.empty());
-  EXPECT_TRUE(rep.unmatched_cand.empty());
-}
-
-TEST(Compare, FlagsInjectedTenPercentThroughputRegression) {
-  const obs::JsonValue a = parse(results_doc(60.0, 1.5, 1000.0));
-  const obs::JsonValue b = parse(results_doc(60.0, 1.5, 900.0));
-  const obs::CompareReport rep = obs::compare_results(a, b, 0.05);
-  EXPECT_EQ(rep.regressions, 1);
-  ASSERT_EQ(rep.deltas.size(), 1u);
-  EXPECT_TRUE(rep.deltas[0].tput_regressed);
-  EXPECT_FALSE(rep.deltas[0].resp_regressed);
-  EXPECT_NE(obs::format_compare(rep, 0.05).find("REGRESSION"),
-            std::string::npos);
-}
-
-TEST(Compare, ResponseDeltaInsideCombinedCiIsNotSignificant) {
-  // +8% response, but the batch-means CIs overlap more than that: quiet.
-  const obs::JsonValue a = parse(results_doc(60.0, 3.0, 1000.0));
-  const obs::JsonValue b = parse(results_doc(64.8, 3.0, 1000.0));
-  const obs::CompareReport rep = obs::compare_results(a, b, 0.05);
-  EXPECT_EQ(rep.regressions, 0);
-  ASSERT_EQ(rep.deltas.size(), 1u);
-  EXPECT_FALSE(rep.deltas[0].resp_regressed);
-}
-
-TEST(Compare, SingleBatchZeroCiFallsBackToRelativeBand) {
-  // Single-batch runs report a 0 CI half-width; the relative band still
-  // applies, so a genuine 50% regression is flagged...
-  const obs::JsonValue a = parse(results_doc(60.0, 0.0, 1000.0));
-  const obs::JsonValue b = parse(results_doc(90.0, 0.0, 1000.0));
-  EXPECT_EQ(obs::compare_results(a, b, 0.05).regressions, 1);
-  // ...while an all-zero run (kernel benches: no simulated metrics) can
-  // never trip the gate.
-  const obs::JsonValue z1 = parse(results_doc(0.0, 0.0, 0.0));
-  const obs::JsonValue z2 = parse(results_doc(0.0, 0.0, 0.0));
-  EXPECT_EQ(obs::compare_results(z1, z2, 0.05).regressions, 0);
-}
-
-TEST(Compare, RunsMatchByNameWithinSharedConfig) {
-  const obs::JsonValue a =
-      parse(results_doc(0.0, 0.0, 0.0, "kernel", "BM_QueueDepth/100"));
-  const obs::JsonValue b =
-      parse(results_doc(0.0, 0.0, 0.0, "kernel", "BM_ScheduleCallbacks"));
-  const obs::CompareReport rep = obs::compare_results(a, b, 0.05);
-  EXPECT_TRUE(rep.deltas.empty());
-  ASSERT_EQ(rep.unmatched_base.size(), 1u);
-  ASSERT_EQ(rep.unmatched_cand.size(), 1u);
-  EXPECT_NE(rep.unmatched_base[0].find("BM_QueueDepth/100"),
-            std::string::npos);
-}
-
-TEST(Compare, RejectsForeignDocuments) {
-  const obs::JsonValue a = parse("{\"schema\":\"something.else\"}");
-  const obs::JsonValue b = parse(results_doc(1.0, 0.0, 1.0));
-  EXPECT_FALSE(obs::compare_results(a, b, 0.05).error.empty());
-}
 
 }  // namespace
 }  // namespace gemsd

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <random>
@@ -129,6 +130,45 @@ TEST(Json, ParserRejectsMalformedInput) {
   EXPECT_FALSE(obs::json_parse("[1,2", doc, err));
   EXPECT_FALSE(obs::json_parse("{} trailing", doc, err));
   EXPECT_FALSE(obs::json_parse("", doc, err));
+}
+
+// The parser recurses once per level: 512 levels parse, and anything deeper
+// fails with an error, not a stack overflow, through both entry points.
+TEST(Json, NestingDeeperThan512LevelsFails) {
+  const auto nested = [](std::size_t levels) {
+    return std::string(levels, '[') + std::string(levels, ']');
+  };
+  const std::function<void(const obs::JsonValue&)> drop =
+      [](const obs::JsonValue&) {};
+  for (const bool each : {false, true}) {
+    SCOPED_TRACE(each ? "json_parse_each" : "json_parse");
+    const auto parse = [&](const std::string& text, std::string& err) {
+      obs::JsonValue doc;
+      return each ? obs::json_parse_each(text, "runs", drop, doc, err)
+                  : obs::json_parse(text, doc, err);
+    };
+    std::string err;
+    EXPECT_TRUE(parse(nested(512), err)) << err;
+    for (const std::size_t levels : {std::size_t{513}, std::size_t{100000}}) {
+      EXPECT_FALSE(parse(nested(levels), err));
+      EXPECT_EQ(err, "nesting too deep");
+    }
+  }
+  // The streamed member counts as a level: the top object, the array, and
+  // 510 levels inside one element make 512.
+  const auto doc_with = [&](std::size_t inner) {
+    return "{\"runs\":[" + nested(inner) + "]}";
+  };
+  obs::JsonValue doc;
+  std::string err;
+  std::size_t elements = 0;
+  const std::function<void(const obs::JsonValue&)> count =
+      [&elements](const obs::JsonValue&) { ++elements; };
+  EXPECT_TRUE(obs::json_parse_each(doc_with(510), "runs", count, doc, err))
+      << err;
+  EXPECT_EQ(elements, 1u);
+  EXPECT_FALSE(obs::json_parse_each(doc_with(511), "runs", count, doc, err));
+  EXPECT_EQ(err, "nesting too deep");
 }
 
 TEST(Json, SchemaAcceptsAndRejects) {

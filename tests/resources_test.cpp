@@ -4,9 +4,9 @@
 // hand-driven D/D/1 and seeded M/M/1 stations (Little, utilization, flow
 // balance — to near machine precision, mid-queue included), the bottleneck
 // ranking and asymptotic throughput bound, the gemsd.resources.v1 document
-// (schema, byte-exact round trip), per-shard gating in --compare, and the
-// contract the layer rests on — metrics untouched with the recorder on or
-// off. Suite names start with "Resource" so the TSan CI job runs them.
+// (schema, byte-exact round trip), and the contract the layer rests on —
+// metrics untouched with the recorder on or off. Suite names start with
+// "Resource" so the TSan CI job runs them.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -479,76 +479,6 @@ TEST(ResourceJson, RoundTripIsExact) {
   ASSERT_TRUE(obs::json_parse("{\"schema\":\"other.v1\"}", bogus, err));
   obs::ResourceSet out;
   EXPECT_FALSE(obs::resources_from_json(bogus, out, err));
-}
-
-// --- --compare gating (satellite: per-shard rows) --------------------------
-
-std::string sharded_results_doc(double u0, double q0, double u1, double q1) {
-  obs::JsonWriter w;
-  w.begin_object();
-  w.kv("schema", "gemsd.results.v1");
-  w.key("runs");
-  w.begin_array();
-  w.begin_object();
-  w.kv("config_hash", "abcd");
-  w.kv("name", "");
-  w.key("metrics");
-  w.begin_object();
-  w.kv("label", "GEM/NOFORCE/random");
-  w.kv("resp_ms", 60.0);
-  w.kv("resp_ci_ms", 1.5);
-  w.kv("throughput", 1000.0);
-  w.key("gem_shards");
-  w.begin_array();
-  for (const auto& [u, q] : {std::pair{u0, q0}, std::pair{u1, q1}}) {
-    w.begin_object();
-    w.kv("util", u);
-    w.kv("queue_mean", q);
-    w.kv("wait_ms", 0.1);
-    w.kv("completions", static_cast<std::uint64_t>(1000));
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  w.end_object();
-  w.end_array();
-  w.end_object();
-  return w.take();
-}
-
-obs::JsonValue parse_doc(const std::string& s) {
-  obs::JsonValue doc;
-  std::string err;
-  EXPECT_TRUE(obs::json_parse(s, doc, err)) << err;
-  return doc;
-}
-
-// A shard whose utilization or queue grows past the band regresses the run
-// even when the aggregates (resp, tput) are unchanged.
-TEST(ResourceCompare, ShardRegressionFlagsWhenAggregatesAreQuiet) {
-  const obs::JsonValue base =
-      parse_doc(sharded_results_doc(0.40, 0.50, 0.40, 0.50));
-
-  // Identical shards: quiet.
-  const obs::CompareReport same = obs::compare_results(
-      base, parse_doc(sharded_results_doc(0.40, 0.50, 0.40, 0.50)), 0.05);
-  EXPECT_EQ(same.regressions, 0);
-  ASSERT_EQ(same.deltas.size(), 1u);
-  EXPECT_EQ(same.deltas[0].shard_regressions, 0);
-
-  // One shard's queue doubles (hot shard after a hash change): flagged.
-  const obs::CompareReport hot = obs::compare_results(
-      base, parse_doc(sharded_results_doc(0.40, 1.00, 0.40, 0.50)), 0.05);
-  EXPECT_EQ(hot.regressions, 1);
-  ASSERT_EQ(hot.deltas.size(), 1u);
-  EXPECT_EQ(hot.deltas[0].shard_regressions, 1);
-  EXPECT_NE(obs::format_compare(hot, 0.05).find("GEM shard"),
-            std::string::npos);
-
-  // Within-band wiggle: quiet.
-  const obs::CompareReport wiggle = obs::compare_results(
-      base, parse_doc(sharded_results_doc(0.41, 0.51, 0.40, 0.50)), 0.05);
-  EXPECT_EQ(wiggle.regressions, 0);
 }
 
 }  // namespace

@@ -220,35 +220,13 @@ TEST(ScenarioPlan, CellsCarryLabelsParamsAndExtras) {
             (Extras{{"hot_pages", 256.0}, {"update_mode_locks", 1.0}}));
 }
 
-// --- golden: fig_4_1 against the committed baseline shape -----------------
+// --- golden: fig_4_1 at any --jobs count ----------------------------------
 
 std::string slurp(const std::string& path) {
   std::ifstream f(path);
   std::stringstream ss;
   ss << f.rdbuf();
   return ss.str();
-}
-
-TEST(ScenarioGolden, Fig41QuickMatchesCommittedBaselineShape) {
-  const std::string baseline =
-      slurp(std::string(GEMSD_SOURCE_DIR) + "/results/BENCH_fig_4_1.json");
-  ASSERT_FALSE(baseline.empty()) << "committed baseline not readable";
-
-  // The committed baseline was produced at --quick, seed 42. Every cell the
-  // registry expands to must appear in it, same configs in the same order —
-  // config hashes cover nodes/routing/update/buffer AND warmup/measure/seed.
-  const Scenario& sc = *find_scenario("fig_4_1");
-  const ScenarioPlan plan = build_scenario_plan(sc, quick_opts());
-  ASSERT_EQ(plan.cells.size(), 24u);
-  std::size_t pos = 0;
-  for (const auto& cell : plan.cells) {
-    const std::string needle =
-        "\"config_hash\":\"" + obs::config_hash_hex(cell.cfg) + "\"";
-    const std::size_t found = baseline.find(needle, pos);
-    ASSERT_NE(found, std::string::npos)
-        << cell.label << " missing/out of order in committed baseline";
-    pos = found + needle.size();
-  }
 }
 
 TEST(ScenarioGolden, Fig41ParallelRunsAreBitIdenticalToSerial) {

@@ -261,7 +261,7 @@ TEST(SchedulerOracle, DispatchOrderIsStrictlyTimeThenScheduleOrder) {
   EXPECT_GT(o.stamped_t.size(), 3000u);
 }
 
-Task<void> worker(Scheduler& s, Resource& r, double service, int* done) {
+Task<void> worker(Resource& r, double service, int* done) {
   co_await r.use(service);
   ++*done;
 }
@@ -286,7 +286,7 @@ TEST(Resource, SingleServerSerializesFcfs) {
   Scheduler s;
   Resource r(s, 1, "disk");
   int done = 0;
-  for (int i = 0; i < 4; ++i) s.spawn(worker(s, r, 2.0, &done));
+  for (int i = 0; i < 4; ++i) s.spawn(worker(r, 2.0, &done));
   s.run_all();
   EXPECT_EQ(done, 4);
   EXPECT_DOUBLE_EQ(s.now(), 8.0);  // 4 jobs x 2.0 serialized
@@ -297,7 +297,7 @@ TEST(Resource, MultiServerRunsInParallel) {
   Scheduler s;
   Resource r(s, 4, "cpu");
   int done = 0;
-  for (int i = 0; i < 4; ++i) s.spawn(worker(s, r, 2.0, &done));
+  for (int i = 0; i < 4; ++i) s.spawn(worker(r, 2.0, &done));
   s.run_all();
   EXPECT_EQ(done, 4);
   EXPECT_DOUBLE_EQ(s.now(), 2.0);
@@ -308,7 +308,7 @@ TEST(Resource, UtilizationAccounting) {
   Resource r(s, 2, "cpu");
   int done = 0;
   // Two jobs of 3s on 2 servers over a 6s horizon -> utilization 0.5.
-  for (int i = 0; i < 2; ++i) s.spawn(worker(s, r, 3.0, &done));
+  for (int i = 0; i < 2; ++i) s.spawn(worker(r, 3.0, &done));
   s.run_until(6.0);
   EXPECT_NEAR(r.utilization(), 0.5, 1e-12);
 }
@@ -317,7 +317,7 @@ TEST(Resource, WaitTimesMeasured) {
   Scheduler s;
   Resource r(s, 1);
   int done = 0;
-  for (int i = 0; i < 3; ++i) s.spawn(worker(s, r, 1.0, &done));
+  for (int i = 0; i < 3; ++i) s.spawn(worker(r, 1.0, &done));
   s.run_all();
   // Waits: 0, 1, 2 -> mean 1.0
   EXPECT_NEAR(r.wait_stat().mean(), 1.0, 1e-12);

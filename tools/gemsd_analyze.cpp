@@ -20,12 +20,6 @@
 //       (no ring drops) fewer than 99% of transactions reconciling within 1%
 //       of their traced response exits 1.
 //
-//   gemsd_analyze --compare <baseline.json> <candidate.json> [--tolerance=T]
-//       Diff two results documents run by run (matched on config hash +
-//       label + name). A throughput or response-time regression beyond the
-//       batch-means CIs and the relative tolerance band exits 1 — the CI
-//       bench-regression gate.
-//
 //   gemsd_analyze --timeseries <timeseries.json> [--csv=FILE]
 //       Steady-state report from a "gemsd.timeseries.v1" document (written
 //       by --timeseries on any bench or gemsd_run): MSER-5 warm-up estimate
@@ -57,8 +51,8 @@
 // finite and > 0) exits 2 with the usage text. --csv=FILE and
 // --critical-path=FILE go to a temp file renamed into place.
 //
-// Exit codes: 0 clean, 1 regression / failed cross-check, 2 bad input or a
-// file that cannot be written.
+// Exit codes: 0 clean, 1 failed gate or cross-check, 2 bad input or a file
+// that cannot be written.
 #include <sys/stat.h>
 
 #include <cerrno>
@@ -128,28 +122,10 @@ int usage() {
       "usage: gemsd_analyze <trace.json> [--results=FILE] [--run=I]\n"
       "                     [--top=K] [--tolerance=T]\n"
       "       gemsd_analyze <trace.json> --critical-path[=FILE] [--top=K]\n"
-      "       gemsd_analyze --compare <baseline.json> <candidate.json>\n"
-      "                     [--tolerance=T]\n"
       "       gemsd_analyze --bottleneck[=FILE] [<resources.json>]\n"
       "       gemsd_analyze --timeseries <timeseries.json> [--csv=FILE]\n"
       "       gemsd_analyze --memory-budget=BYTES <results.json>\n");
   return 2;
-}
-
-int run_compare(const std::string& base_path, const std::string& cand_path,
-                double tolerance) {
-  gemsd::obs::JsonValue base, cand;
-  if (!load_json(base_path, base) || !load_json(cand_path, cand)) return 2;
-  const gemsd::obs::CompareReport rep =
-      gemsd::obs::compare_results(base, cand, tolerance);
-  if (!rep.error.empty()) {
-    std::fprintf(stderr, "error: %s\n", rep.error.c_str());
-    return 2;
-  }
-  std::printf("baseline:  %s\ncandidate: %s\n", base_path.c_str(),
-              cand_path.c_str());
-  std::fputs(gemsd::obs::format_compare(rep, tolerance).c_str(), stdout);
-  return rep.regressions > 0 ? 1 : 0;
 }
 
 int run_memory_budget(const std::string& results_path, double budget_bytes) {
@@ -186,8 +162,6 @@ int main(int argc, char** argv) {
   using namespace gemsd;
 
   std::string trace_path, results_path;
-  std::string compare_base, compare_cand;
-  bool compare = false;
   bool critpath = false;
   bool timeseries = false;
   bool bottleneck = false;
@@ -196,14 +170,12 @@ int main(int argc, char** argv) {
   std::string csv_file;
   int run_index = 0;
   int top_k = 10;
-  double tolerance = -1.0;  // mode-specific default
+  double tolerance = 0.01;
 
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     bool num_ok = true;
-    if (std::strcmp(a, "--compare") == 0) {
-      compare = true;
-    } else if (std::strcmp(a, "--timeseries") == 0) {
+    if (std::strcmp(a, "--timeseries") == 0) {
       timeseries = true;
     } else if (std::strcmp(a, "--bottleneck") == 0) {
       bottleneck = true;
@@ -232,11 +204,7 @@ int main(int argc, char** argv) {
     } else if (a[0] == '-') {
       std::fprintf(stderr, "error: unknown option %s\n", a);
       return usage();
-    } else if (compare && compare_base.empty()) {
-      compare_base = a;
-    } else if (compare && compare_cand.empty()) {
-      compare_cand = a;
-    } else if (!compare && trace_path.empty()) {
+    } else if (trace_path.empty()) {
       trace_path = a;
     } else {
       return usage();
@@ -247,14 +215,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (compare) {
-    if (compare_base.empty() || compare_cand.empty()) return usage();
-    return run_compare(compare_base, compare_cand,
-                       tolerance < 0.0 ? 0.05 : tolerance);
-  }
   if (trace_path.empty()) return usage();
   if (memory_budget > 0.0) return run_memory_budget(trace_path, memory_budget);
-  if (tolerance < 0.0) tolerance = 0.01;
 
   if (bottleneck) {
     obs::JsonValue doc;

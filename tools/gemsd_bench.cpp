@@ -21,7 +21,9 @@
 //
 // Every file is written to a temp file and renamed into place. Exit codes:
 // 0 success, 1 a failed run, export or file write, 2 bad flags or
-// selection.
+// selection. A run fails when it does not pass run_failure (nothing
+// committed, a coherency violation, a non-finite value); it is still
+// reported, and stderr names the scenario, the run and the reason.
 #include <cstdio>
 #include <cstring>
 #include <regex>
@@ -185,6 +187,7 @@ int main(int argc, char** argv) {
     }
   }
 
+  int rc = 0;
   for (std::size_t i = 0; i < sel.size(); ++i) {
     const Scenario& sc = *sel[i];
     if (sel.size() > 1) {
@@ -193,11 +196,19 @@ int main(int argc, char** argv) {
     try {
       const ScenarioResult res = run_scenario(sc, opt);
       emit_scenario(sc, opt, res, out_dir);
+      for (std::size_t r = 0; r < res.runs.size(); ++r) {
+        const std::string why = run_failure(res.runs[r].result);
+        if (why.empty()) continue;
+        std::fprintf(stderr, "gemsd_bench: %s run %zu (%s): %s\n",
+                     sc.name.c_str(), r, res.plan.cells[r].label.c_str(),
+                     why.c_str());
+        rc = 1;
+      }
     } catch (const std::exception& e) {
       std::fprintf(stderr, "gemsd_bench: %s: %s\n", sc.name.c_str(),
                    e.what());
       return 1;
     }
   }
-  return 0;
+  return rc;
 }

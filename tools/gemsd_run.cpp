@@ -22,7 +22,9 @@
 // --seed are rejected rather than silently ignored. A spec that does not
 // parse or holds an out-of-range value exits 1 before any run, naming the
 // file, the line and the key. See src/core/config_file.hpp for the spec
-// format and each key's range.
+// format and each key's range. After printing every run, a run that fails
+// the sanity check (run_failure: nothing committed, a coherency violation,
+// a non-finite value) exits 1, naming the spec, the run and the reason.
 #include <cstdio>
 #include <functional>
 #include <map>
@@ -211,5 +213,14 @@ int main(int argc, char** argv) {
       std::printf("%s\n", fingerprint_line("run", cfgs[i]).c_str());
     }
   }
-  return 0;
+  // A stalled configuration must not pass as an all-zero row.
+  int rc = 0;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const std::string why = run_failure(results[i].r);
+    if (why.empty()) continue;
+    std::fprintf(stderr, "error: %s: %s\n", jobs_list[i].title.c_str(),
+                 why.c_str());
+    rc = 1;
+  }
+  return rc;
 }
