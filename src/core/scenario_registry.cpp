@@ -12,6 +12,7 @@
 #include "cc/lock_engine_protocol.hpp"
 #include "cc/shard_map.hpp"
 #include "core/scenario.hpp"
+#include "core/sweep.hpp"
 #include "core/system.hpp"
 #include "obs/memory.hpp"
 #include "workload/scale_out.hpp"
@@ -131,17 +132,31 @@ void run_scale_out_cell(const SystemConfig& cfg, BenchRun& b) {
   push_shard_extras(sys, b);
 }
 
-void print_shard_table(const ScenarioResult& res, const char* title) {
+/// The rss[MB] column is the process high-water mark when a cell finished,
+/// so it is shown only when the cells ran one at a time.
+void print_shard_table(const ScenarioResult& res, const BenchOptions& opt,
+                       const char* title) {
+  const bool one_at_a_time =
+      res.runs.size() == 1 || SweepRunner(opt.jobs).jobs() == 1;
   std::printf("\n== %s ==\n", title);
   std::printf("%4s %7s | %9s %9s %9s %9s %9s %9s\n", "N", "shards",
               "resp[ms]", "tput", "gemUtil", "gltQueue", "wait[us]",
               "rss[MB]");
   for (const BenchRun& b : res.runs) {
     const RunResult& r = b.result;
-    std::printf("%4d %7.0f | %9.2f %9.1f %8.2f%% %9.3f %9.2f %9.0f\n",
-                r.nodes, extra_of(b, "gem_shards"), r.resp_ms, r.throughput,
+    std::printf("%4d %7.0f | %9.2f %9.1f %8.2f%% %9.3f %9.2f ", r.nodes,
+                extra_of(b, "gem_shards"), r.resp_ms, r.throughput,
                 r.gem_util * 100, extra_of(b, "glt_queue_mean"),
-                extra_of(b, "glt_wait_us"), extra_of(b, "peak_rss_mb"));
+                extra_of(b, "glt_wait_us"));
+    if (one_at_a_time) {
+      std::printf("%9.0f\n", extra_of(b, "peak_rss_mb"));
+    } else {
+      std::printf("%9s\n", "-");
+    }
+  }
+  if (!one_at_a_time) {
+    std::printf("rss[MB] is the process peak, shared by concurrent cells: "
+                "run with --jobs=1 to see it per cell.\n");
   }
 }
 
@@ -1070,8 +1085,8 @@ std::vector<Scenario> build_registry() {
     sc.cell = [](const SystemConfig& cfg, BenchRun& b) {
       run_scale_out_cell(cfg, b);
     };
-    sc.table = [](const ScenarioResult& res, const BenchOptions&) {
-      print_shard_table(res,
+    sc.table = [](const ScenarioResult& res, const BenchOptions& opt) {
+      print_shard_table(res, opt,
                         "Scale-out: sharded GLT, 64-512 nodes, diurnal load, "
                         "drifting hotspot");
     };
@@ -1100,8 +1115,8 @@ std::vector<Scenario> build_registry() {
     sc.cell = [](const SystemConfig& cfg, BenchRun& b) {
       run_scale_out_cell(cfg, b);
     };
-    sc.table = [](const ScenarioResult& res, const BenchOptions&) {
-      print_shard_table(res, "Scale-out smoke (64 nodes, CI gate)");
+    sc.table = [](const ScenarioResult& res, const BenchOptions& opt) {
+      print_shard_table(res, opt, "Scale-out smoke (64 nodes, CI gate)");
     };
     reg.push_back(std::move(sc));
   }
@@ -1124,9 +1139,9 @@ std::vector<Scenario> build_registry() {
     };
     sc.dims = {node_dim({10}, /*clamp=*/true), shards_dim({1, 2, 4, 8})};
     sc.probe = [](System& sys, BenchRun& b) { push_shard_extras(sys, b); };
-    sc.table = [](const ScenarioResult& res, const BenchOptions&) {
-      print_shard_table(res,
-                       "Sharded GLT: gem_shards 1-8, GLT-bound debit-credit");
+    sc.table = [](const ScenarioResult& res, const BenchOptions& opt) {
+      print_shard_table(res, opt,
+                        "Sharded GLT: gem_shards 1-8, GLT-bound debit-credit");
     };
     sc.note =
         "Expected shape: with one shard the 100 us entries queue heavily "

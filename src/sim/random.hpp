@@ -1,29 +1,96 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <random>
 #include <vector>
 
 namespace gemsd::sim {
 
+/// MT19937-64, written out so that it emits exactly the stream the standard
+/// fixes for mt19937_64 (Rng.EngineMatchesStdMt19937_64 compares it with the
+/// library's engine) with no unpredictable branch: the twist selects its
+/// matrix term with a mask, not a jump on each word's low bit, and tempers
+/// the whole block into `out_` at once, so a draw is one load and one index
+/// check.
+class Mt19937_64 {
+ public:
+  explicit Mt19937_64(std::uint64_t seed) {
+    state_[0] = seed;
+    for (std::size_t i = 1; i < kWords; ++i) {
+      const std::uint64_t x = state_[i - 1];
+      state_[i] = 6364136223846793005ULL * (x ^ (x >> 62)) + i;
+    }
+    refill();
+  }
+
+  std::uint64_t operator()() {
+    if (next_ == kWords) refill();
+    return out_[next_++];
+  }
+
+ private:
+  static constexpr std::size_t kWords = 312;
+
+  /// Twists the state once, then tempers all of it into `out_`.
+  void refill() {
+    constexpr std::size_t kShift = 156;
+    constexpr std::uint64_t kUpper = ~std::uint64_t{0} << 31;
+    const auto mix = [](std::uint64_t hi, std::uint64_t lo, std::uint64_t x) {
+      const std::uint64_t y = (hi & kUpper) | (lo & ~kUpper);
+      return x ^ (y >> 1) ^ (-(y & 1) & 0xB5026F5AA96619E9ULL);
+    };
+    std::size_t k = 0;
+    for (; k < kWords - kShift; ++k) {
+      state_[k] = mix(state_[k], state_[k + 1], state_[k + kShift]);
+    }
+    for (; k < kWords - 1; ++k) {
+      state_[k] = mix(state_[k], state_[k + 1], state_[k + kShift - kWords]);
+    }
+    state_[k] = mix(state_[k], state_[0], state_[kShift - 1]);
+    for (k = 0; k < kWords; ++k) {
+      std::uint64_t z = state_[k];
+      z ^= (z >> 29) & 0x5555555555555555ULL;
+      z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+      z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+      out_[k] = z ^ (z >> 43);
+    }
+    next_ = 0;
+  }
+
+  std::uint64_t state_[kWords];
+  std::uint64_t out_[kWords];
+  std::size_t next_ = 0;
+};
+
+/// static_cast<double>(x) without the branch on the sign bit that the
+/// unsigned conversion compiles to: both 32-bit halves convert exactly, and
+/// the sum is rounded once, to the same double.
+inline double u64_to_double(std::uint64_t x) {
+  return static_cast<double>(x >> 32) * 0x1p32 +
+         static_cast<double>(x & 0xffffffffULL);
+}
+
 /// Deterministic, seedable random source used by every stochastic model
 /// component. One Rng per System keeps runs reproducible.
 ///
-/// The engine is std::mt19937_64, whose output the standard fixes. The
-/// standard leaves the distributions' algorithms to the library, so every
-/// draw below is spelled out: each computes exactly what libstdc++ 12's
-/// distribution of the same name computes on that engine, so results depend
-/// on no library's <random> internals (only on std::log, for the
-/// exponential).
+/// The engine is MT19937-64 written out above; tests check its stream
+/// against the standard library's mt19937_64. The standard leaves the
+/// distributions' algorithms to the library, so every draw below is spelled
+/// out: each computes exactly what libstdc++ 12's distribution of the same
+/// name computes on that engine. So results depend on no library's random
+/// engine or distributions; std::log, for the exponential, is the one
+/// library function a draw still depends on.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) : eng_(seed) {}
 
-  /// U[0,1): one 64-bit draw scaled by 2^-64 (generate_canonical); a draw
-  /// that rounds to 1.0 becomes the largest double below 1.
-  double uniform() {
-    const double u = static_cast<double>(eng_()) * 0x1p-64;
+  /// U[0,1): one 64-bit draw, canonical().
+  double uniform() { return canonical(eng_()); }
+  /// The word x scaled by 2^-64 (generate_canonical); a word that rounds to
+  /// 1.0 becomes the largest double below 1.
+  static double canonical(std::uint64_t x) {
+    const double u = u64_to_double(x) * 0x1p-64;
     return u < 1.0 ? u : 0x1.fffffffffffffp-1;  // std::nextafter(1.0, 0.0)
   }
   /// U[lo, hi) real.
@@ -47,7 +114,7 @@ class Rng {
   /// rejection threshold 2^64 mod range (arXiv 1805.10941).
   std::uint64_t below(std::uint64_t range);
 
-  std::mt19937_64 eng_;
+  Mt19937_64 eng_;
 };
 
 template <typename It>

@@ -37,6 +37,13 @@ class Trace {
   /// Transaction i as the SOURCE submits it; its affinity key is its type.
   TxnSpec txn(std::size_t i) const;
 
+  /// Sizes the store for `txns` transactions and `refs` references, so a
+  /// generator that knows about how large its trace is builds it without
+  /// regrowing; a trace that outgrows it still grows.
+  void reserve(std::size_t txns, std::size_t refs) {
+    txns_.reserve(txns);
+    refs_.reserve(refs);
+  }
   /// Appends a transaction without references. Throws std::invalid_argument
   /// when `type` is outside [0, num_types).
   void add_txn(std::int64_t type);

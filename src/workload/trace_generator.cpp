@@ -81,6 +81,13 @@ Trace generate_synthetic_trace(const SyntheticTraceConfig& cfg,
     --assigned;
   }
 
+  // Size the store once: the expected reference count plus 10 %.
+  double expected_refs = 0.0;
+  for (std::size_t ty = 0; ty < kTypes.size(); ++ty) {
+    expected_refs += static_cast<double>(counts[ty]) * kTypes[ty].mean_refs;
+  }
+  tr.reserve(assigned, static_cast<std::size_t>(expected_refs * 1.1));
+
   for (std::size_t ty = 0; ty < kTypes.size(); ++ty) {
     const TypeShape& s = kTypes[ty];
     for (std::size_t i = 0; i < counts[ty]; ++i) {

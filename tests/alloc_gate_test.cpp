@@ -80,6 +80,24 @@ TEST(AllocGate, GemTraceCellStaysWithinBudget) {
   EXPECT_LE(c.frames, 490.0);  // measured 423.6
 }
 
+TEST(AllocGate, StandardTraceIsBuiltWithoutRegrowth) {
+  // The generator sizes the trace store once (Trace::reserve), so a build
+  // allocates the 13 Zipf tables (two vectors each), their vector, the type
+  // counts and the store's two vectors: measured 30 at both seeds, and 65
+  // while the store regrew.
+  for (const std::uint64_t seed : {1u, 7u}) {
+    sim::Rng rng(seed);
+    const std::uint64_t allocs0 = g_allocs;
+    const workload::Trace trace = workload::generate_synthetic_trace(
+        workload::SyntheticTraceConfig{}, rng);
+    const std::uint64_t allocs = g_allocs - allocs0;
+    EXPECT_GT(trace.references(), 1000000u) << "seed " << seed;
+    EXPECT_LE(allocs, 34u) << "seed " << seed;
+    ::testing::Test::RecordProperty("allocs_seed_" + std::to_string(seed),
+                                    std::to_string(allocs));
+  }
+}
+
 TEST(AllocGate, PclDebitCreditCellStaysWithinBudget) {
   // fig_4_5-style cell: debit-credit on 10 nodes, primary copy locking,
   // random routing, NOFORCE, buffer 1000.

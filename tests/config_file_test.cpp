@@ -290,19 +290,11 @@ TEST(RunSpec, SeedIsReadExactly) {
 
 TEST(RunSpec, ShippedSpecsParse) {
   // The specs/ directory must stay in sync with the parser.
-  const std::string bases[] = {"specs/", "../specs/", "../../specs/"};
-  std::string base;
-  for (const auto& b : bases) {
-    if (std::ifstream(b + "fig41_affinity_noforce.ini")) {
-      base = b;
-      break;
-    }
-  }
-  if (base.empty()) GTEST_SKIP() << "specs/ not reachable from test cwd";
+  const std::string dir = std::string(GEMSD_SOURCE_DIR) + "/specs/";
   for (const char* p : {"fig41_affinity_noforce.ini", "bt_on_gem_force.ini",
                         "trace_pcl.ini"}) {
-    std::ifstream f(base + p);
-    ASSERT_TRUE(f.is_open()) << p;
+    std::ifstream f(dir + p);
+    ASSERT_TRUE(f.is_open()) << dir << p;
     EXPECT_NO_THROW(parse_run_spec(f)) << p;
   }
 }
