@@ -10,25 +10,36 @@ namespace {
 /// Largest request-queue capacity a recycled page slot keeps.
 constexpr std::size_t kKeptQueueCapacity = 2;
 
-bool compatible_with_granted(const std::vector<LockTable::Request>& q,
-                             TxnId txn, LockMode mode) {
-  for (const auto& r : q) {
-    if (!r.granted || r.txn == txn) continue;
-    if (!lock_compatible(r.mode, mode)) return false;
+std::size_t idx(LockMode m) { return static_cast<std::size_t>(m); }
+
+/// Whether a request of `mode` is compatible with granted requests counted
+/// per mode in `by_mode`.
+bool compatible(const std::array<std::uint32_t, kLockModes>& by_mode,
+                LockMode mode) {
+  for (std::size_t m = 0; m < kLockModes; ++m) {
+    if (by_mode[m] != 0 && !lock_compatible(static_cast<LockMode>(m), mode)) {
+      return false;
+    }
   }
   return true;
 }
 
-bool any_waiter_ahead(const std::vector<LockTable::Request>& q, TxnId txn) {
-  // FIFO fairness: a new request must queue behind existing waiters
-  // (upgrades are exempt — they jump the queue, see acquire()).
-  for (const auto& r : q) {
-    if (!r.granted && r.txn != txn) return true;
-  }
-  return false;
+/// `by_mode` without one granted request of `own` (an upgrader's own lock).
+std::array<std::uint32_t, kLockModes> others(
+    std::array<std::uint32_t, kLockModes> by_mode, LockMode own) {
+  --by_mode[idx(own)];
+  return by_mode;
 }
 
 }  // namespace
+
+std::size_t LockTable::find_granted(const PageState& st, TxnId txn) const {
+  const std::size_t n = st.counts.granted;
+  std::size_t i = 0;
+  while (i < n && st.q[i].txn != txn) ++i;
+  examined_ += i < n ? i + 1 : n;
+  return i;
+}
 
 LockTable::Outcome LockTable::acquire(PageId page, TxnId txn, NodeId node,
                                       LockMode mode, GrantFn on_grant,
@@ -45,35 +56,25 @@ LockTable::Outcome LockTable::acquire(PageId page, TxnId txn, NodeId node,
     }
   }
   PageState& st = states_[*slot];
+  GrantedCounts& c = st.counts;
 
   // Upgrade detection: the txn already holds a weaker lock on the page
   // (Read -> Update, Read -> Write, or Update -> Write).
-  bool is_upgrade = false;
-  for (auto& r : st.q) {
-    if (r.txn == txn && r.granted) {
-      assert(lock_strength(mode) > lock_strength(r.mode) &&
-             "re-acquiring a held lock (callers must track held locks)");
-      is_upgrade = true;
-      break;
-    }
-  }
+  const std::size_t h = find_granted(st, txn);
+  const bool is_upgrade = h < c.granted;
   if (upgrade != nullptr) *upgrade = is_upgrade;
 
   if (is_upgrade) {
+    Request& held = st.q[h];
+    assert(lock_strength(mode) > lock_strength(held.mode) &&
+           "re-acquiring a held lock (callers must track held locks)");
     // Grant in place iff the target mode is compatible with every OTHER
     // granted holder (e.g. U->W needs the readers to drain; R->U only
     // another updater blocks).
-    bool clear = true;
-    for (const auto& r : st.q) {
-      if (r.granted && r.txn != txn && !lock_compatible(r.mode, mode)) {
-        clear = false;
-        break;
-      }
-    }
-    if (clear) {
-      for (auto& r : st.q) {
-        if (r.txn == txn && r.granted) r.mode = mode;
-      }
+    if (compatible(others(c.by_mode, held.mode), mode)) {
+      --c.by_mode[idx(held.mode)];
+      ++c.by_mode[idx(mode)];
+      held.mode = mode;
       // The granted entry got stronger: waiters compatible with the old mode
       // may now be blocked by it.
       if (hooks_.queue_changed) hooks_.queue_changed(page, txn);
@@ -81,64 +82,63 @@ LockTable::Outcome LockTable::acquire(PageId page, TxnId txn, NodeId node,
     }
     conflicts_.inc();
     // Upgrades wait at the head of the queue (before ordinary waiters).
-    Request req{txn, node, mode, false, true, std::move(on_grant)};
-    auto it = std::find_if(st.q.begin(), st.q.end(),
-                           [](const Request& r) { return !r.granted; });
-    st.q.insert(it, std::move(req));
-    waiting_[txn] = page;
+    st.q.insert(st.q.begin() + c.granted,
+                Request{txn, node, mode, false, true});
+    waiting_[txn] = Waiter{page, std::move(on_grant)};
     // The upgrade jumped the queue: every waiter behind it just gained a
     // blocker. (The upgrader's own edges are the caller's to emit.)
     if (hooks_.queue_changed) hooks_.queue_changed(page, txn);
     return Outcome::Waiting;
   }
 
-  if (compatible_with_granted(st.q, txn, mode) &&
-      !any_waiter_ahead(st.q, txn)) {
-    st.q.push_back(Request{txn, node, mode, true, false, {}});
+  // FIFO fairness: a new request queues behind existing waiters (upgrades
+  // are exempt — they jump the queue, above).
+  if (st.q.size() == c.granted && compatible(c.by_mode, mode)) {
+    st.q.push_back(Request{txn, node, mode, true, false});
+    ++c.granted;
+    ++c.by_mode[idx(mode)];
     return Outcome::Granted;
   }
   conflicts_.inc();
-  st.q.push_back(Request{txn, node, mode, false, false, std::move(on_grant)});
-  waiting_[txn] = page;
+  st.q.push_back(Request{txn, node, mode, false, false});
+  waiting_[txn] = Waiter{page, std::move(on_grant)};
   return Outcome::Waiting;
 }
 
 void LockTable::promote(PageId page, PageState& st) {
   // Repeatedly grant the first waiter while compatible. Upgrades sit at the
   // front and are granted when their holder is the sole remaining one.
-  for (;;) {
-    auto it = std::find_if(st.q.begin(), st.q.end(),
-                           [](const Request& r) { return !r.granted; });
-    if (it == st.q.end()) return;
-    if (it->upgrade) {
-      bool clear = true;
-      for (const auto& r : st.q) {
-        if (r.granted && r.txn != it->txn &&
-            !lock_compatible(r.mode, it->mode)) {
-          clear = false;
-          break;
-        }
+  GrantedCounts& c = st.counts;
+  while (c.granted < st.q.size()) {
+    Request& w = st.q[c.granted];
+    const TxnId t = w.txn;
+    const NodeId n = w.node;
+    const LockMode mode = w.mode;
+    if (w.upgrade) {
+      // Convert the existing granted entry (if its holder still has it) and
+      // drop the waiter.
+      const std::size_t h = find_granted(st, t);
+      const bool holds = h < c.granted;
+      if (!compatible(holds ? others(c.by_mode, st.q[h].mode) : c.by_mode,
+                      mode)) {
+        return;
       }
-      if (!clear) return;
-      // Convert the existing granted entry and drop the waiter.
-      const LockMode target = it->mode;
-      for (auto& r : st.q) {
-        if (r.granted && r.txn == it->txn) r.mode = target;
+      if (holds) {
+        --c.by_mode[idx(st.q[h].mode)];
+        ++c.by_mode[idx(mode)];
+        st.q[h].mode = mode;
       }
-      auto fn = std::move(it->on_grant);
-      const TxnId t = it->txn;
-      const NodeId n = it->node;
-      st.q.erase(it);
-      waiting_.erase(t);
-      if (hooks_.granted) hooks_.granted(page, t, n);
-      if (fn) fn();
-      continue;
+      st.q.erase(st.q.begin() + c.granted);
+    } else {
+      if (!compatible(c.by_mode, mode)) return;
+      w.granted = true;
+      ++c.granted;
+      ++c.by_mode[idx(mode)];
     }
-    if (!compatible_with_granted(st.q, it->txn, it->mode)) return;
-    it->granted = true;
-    auto fn = std::move(it->on_grant);
-    waiting_.erase(it->txn);
-    if (hooks_.granted) hooks_.granted(page, it->txn, it->node);
+    GrantFn fn;
+    if (Waiter* wt = waiting_.find(t)) fn = std::move(wt->on_grant);
+    waiting_.erase(t);
+    if (hooks_.granted) hooks_.granted(page, t, n);
     if (fn) fn();
   }
 }
@@ -160,12 +160,12 @@ void LockTable::release(PageId page, TxnId txn) {
   const std::uint32_t* slot = pages_.find(page);
   if (slot == nullptr) return;
   const std::uint32_t s = *slot;
-  auto& st = states_[s];
-  st.q.erase(std::remove_if(st.q.begin(), st.q.end(),
-                            [&](const Request& r) {
-                              return r.txn == txn && r.granted;
-                            }),
-             st.q.end());
+  PageState& st = states_[s];
+  if (const std::size_t h = find_granted(st, txn); h < st.counts.granted) {
+    --st.counts.granted;
+    --st.counts.by_mode[idx(st.q[h].mode)];
+    st.q.erase(st.q.begin() + static_cast<std::ptrdiff_t>(h));
+  }
   promote(page, st);
   settle(page, s, txn);
 }
@@ -174,15 +174,15 @@ bool LockTable::cancel_wait(PageId page, TxnId txn) {
   const std::uint32_t* slot = pages_.find(page);
   if (slot == nullptr) return false;
   const std::uint32_t s = *slot;
-  auto& st = states_[s];
-  const auto before = st.q.size();
-  st.q.erase(std::remove_if(st.q.begin(), st.q.end(),
-                            [&](const Request& r) {
-                              return r.txn == txn && !r.granted;
-                            }),
-             st.q.end());
-  const bool removed = st.q.size() != before;
-  if (removed) waiting_.erase(txn);
+  PageState& st = states_[s];
+  std::size_t i = st.counts.granted;
+  while (i < st.q.size() && st.q[i].txn != txn) ++i;
+  examined_ += std::min(i + 1, st.q.size()) - st.counts.granted;
+  const bool removed = i < st.q.size();
+  if (removed) {
+    st.q.erase(st.q.begin() + static_cast<std::ptrdiff_t>(i));
+    waiting_.erase(txn);
+  }
   promote(page, st);
   settle(page, s, txn);
   return removed;
@@ -191,16 +191,20 @@ bool LockTable::cancel_wait(PageId page, TxnId txn) {
 bool LockTable::holds(PageId page, TxnId txn, LockMode at_least) const {
   const std::uint32_t* slot = pages_.find(page);
   if (slot == nullptr) return false;
-  for (const auto& r : states_[*slot].q) {
-    if (r.txn == txn && r.granted) return lock_covers(r.mode, at_least);
-  }
-  return false;
+  const PageState& st = states_[*slot];
+  const std::size_t h = find_granted(st, txn);
+  return h < st.counts.granted && lock_covers(st.q[h].mode, at_least);
 }
 
 std::optional<PageId> LockTable::waiting_on(TxnId txn) const {
-  const PageId* p = waiting_.find(txn);
-  if (p == nullptr) return std::nullopt;
-  return *p;
+  const Waiter* w = waiting_.find(txn);
+  if (w == nullptr) return std::nullopt;
+  return w->page;
+}
+
+LockTable::GrantedCounts LockTable::granted_counts(PageId page) const {
+  const std::uint32_t* slot = pages_.find(page);
+  return slot == nullptr ? GrantedCounts{} : states_[*slot].counts;
 }
 
 std::vector<TxnId> LockTable::blockers(PageId page, TxnId txn) const {
@@ -213,8 +217,10 @@ std::vector<std::pair<TxnId, NodeId>> LockTable::waiters(PageId page) const {
   std::vector<std::pair<TxnId, NodeId>> out;
   const std::uint32_t* slot = pages_.find(page);
   if (slot == nullptr) return out;
-  for (const auto& r : states_[*slot].q) {
-    if (!r.granted) out.emplace_back(r.txn, r.node);
+  const PageState& st = states_[*slot];
+  examined_ += st.q.size() - st.counts.granted;
+  for (std::size_t i = st.counts.granted; i < st.q.size(); ++i) {
+    out.emplace_back(st.q[i].txn, st.q[i].node);
   }
   return out;
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -23,7 +24,15 @@ namespace gemsd::cc {
 /// callback must hand control back through the event queue, and it must not
 /// call back into the table (neither may the trace hooks): the table's
 /// storage is flat, so a nested mutation would move the queue being worked
-/// on.
+/// on. A transaction waits for at most one request at a time.
+///
+/// A page's queue holds its granted requests first, then its waiters in
+/// FIFO order (an upgrade waits at the head of the waiters). The page keeps
+/// the length of that granted prefix and its granted count per mode, so
+/// compatibility, "a waiter is ahead" and promotion read counts; `holds`,
+/// `release` and upgrade detection scan only the granted prefix. A request
+/// is 16 bytes: the callback of a waiting request lives in the waiter map,
+/// so granted requests, most of the table, carry none.
 ///
 /// At steady state the table allocates nothing: pages and waiters live in
 /// flat open-addressing maps, and a page's request queue is recycled, with
@@ -52,8 +61,14 @@ class LockTable {
     NodeId node;
     LockMode mode;
     bool granted = false;
-    bool upgrade = false;  ///< waiting to convert Read -> Write
-    GrantFn on_grant;
+    bool upgrade = false;  ///< waiting to convert to a stronger mode
+  };
+
+  /// A page's granted prefix: its length and its requests per mode
+  /// (indexed by LockMode). All zero for an unlocked page.
+  struct GrantedCounts {
+    std::uint32_t granted = 0;
+    std::array<std::uint32_t, kLockModes> by_mode{};
   };
 
   /// Request a lock. Must not be called when the transaction already holds a
@@ -89,7 +104,13 @@ class LockTable {
   /// (txn, node) pairs.
   std::vector<std::pair<TxnId, NodeId>> waiters(PageId page) const;
 
+  /// The granted prefix of `page`'s queue.
+  GrantedCounts granted_counts(PageId page) const;
+
   std::size_t locked_pages() const { return pages_.size(); }
+  /// Queue entries read by every scan since construction (a cost counter,
+  /// not reset by reset_stats).
+  std::uint64_t entries_examined() const { return examined_; }
   std::uint64_t requests() const { return requests_.value(); }
   std::uint64_t conflicts() const { return conflicts_.value(); }
   void reset_stats() {
@@ -99,9 +120,18 @@ class LockTable {
 
  private:
   struct PageState {
-    std::vector<Request> q;  // granted entries first, then FIFO waiters
+    std::vector<Request> q;  ///< [0, counts.granted) granted, then waiters
+    GrantedCounts counts;
+  };
+  /// A waiting request's page and grant callback.
+  struct Waiter {
+    PageId page;
+    GrantFn on_grant;
   };
 
+  /// Index of `txn`'s granted request in the page's queue, or the length of
+  /// the granted prefix when it holds none.
+  std::size_t find_granted(const PageState& st, TxnId txn) const;
   /// Grant whatever is now grantable at the head of the wait queue.
   void promote(PageId page, PageState& st);
   /// After a removal from page's queue (slot `s`): recycle an emptied queue,
@@ -111,7 +141,8 @@ class LockTable {
   sim::FlatMap<PageId, std::uint32_t> pages_;  ///< page -> slot in states_
   std::vector<PageState> states_;  ///< queues; emptied ones keep capacity
   std::vector<std::uint32_t> free_states_;  ///< recycled slots of states_
-  sim::FlatMap<TxnId, PageId> waiting_;
+  sim::FlatMap<TxnId, Waiter> waiting_;
+  mutable std::uint64_t examined_ = 0;
   sim::Counter requests_, conflicts_;
   TraceHooks hooks_;
 };
@@ -120,11 +151,14 @@ template <typename Fn>
 void LockTable::for_each_blocker(PageId page, TxnId txn, Fn&& fn) const {
   const std::uint32_t* slot = pages_.find(page);
   if (slot == nullptr) return;
-  const auto& q = states_[*slot].q;
+  const PageState& st = states_[*slot];
+  const auto& q = st.q;
   // Find our waiting request; everything ahead of it that blocks it counts.
-  std::size_t self = 0;
-  while (self < q.size() && (q[self].txn != txn || q[self].granted)) ++self;
+  std::size_t self = st.counts.granted;
+  while (self < q.size() && q[self].txn != txn) ++self;
+  examined_ += self - st.counts.granted;
   if (self == q.size()) return;
+  examined_ += 1 + self;
   for (std::size_t i = 0; i < self; ++i) {
     const Request& r = q[i];
     if (r.txn == txn) continue;

@@ -323,7 +323,13 @@ SpecDoc parse_spec_doc(std::istream& in) {
       } else if (lkey == "trace_txns") {
         std::int64_t txns = 0;
         read({lkey, val, line}, txns);
-        if (txns < 1) fail(line, "trace_txns: must be >= 1, got " + val);
+        if (txns < 1 || txns > kMaxTraceTxns) {
+          std::string msg = "trace_txns: must be in [1, ";
+          msg += std::to_string(kMaxTraceTxns);
+          msg += "], got ";
+          msg += val;
+          fail(line, msg);
+        }
         proto.trace_txns = static_cast<std::size_t>(txns);
       } else {
         fail(line, "unknown [workload] key '" + key + "'");

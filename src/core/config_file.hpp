@@ -18,6 +18,10 @@ struct SpecKey {
 };
 using SpecKeyValues = std::vector<SpecKey>;
 
+/// Largest `trace_txns`: the synthetic trace keeps about 60 references of 8
+/// bytes per transaction, so 10^6 transactions are about 0.5 GB of trace.
+inline constexpr std::int64_t kMaxTraceTxns = 1000000;
+
 /// A complete experiment specification parsed from a small INI-style file —
 /// the no-C++-required entry point (tools/gemsd_run). Each key's range is
 /// given after it; validate() holds the rules. Integer keys take plain
@@ -55,7 +59,8 @@ using SpecKeyValues = std::vector<SpecKey>;
 /// [workload]
 /// kind = debit_credit       # debit_credit | trace
 /// trace_file =              # empty => synthetic trace
-/// trace_txns = 17500        # synthetic trace size, >= 1
+/// trace_txns = 17500        # synthetic trace size, 1 .. 1000000
+///                           # (kMaxTraceTxns)
 ///
 /// [partition.BRANCH/TELLER] # storage overrides, section form
 /// storage = gem             # disk | vcache | nvcache | gemcache | gem

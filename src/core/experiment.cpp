@@ -56,7 +56,8 @@ SystemConfig make_trace_config(const workload::Trace& trace) {
   c.partitions.resize(static_cast<std::size_t>(trace.num_files));
   for (int f = 0; f < trace.num_files; ++f) {
     auto& pc = c.partitions[static_cast<std::size_t>(f)];
-    pc.name = "F" + std::to_string(f);
+    pc.name += 'F';
+    pc.name += std::to_string(f);
     pc.pages_per_unit = 66000;  // upper bound; page ids come from the trace
     pc.blocking_factor = 1;
     pc.locked = true;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -38,8 +39,10 @@ constexpr std::int64_t kAppendPage = -1;
 
 /// Lock modes: Read (shared), Update (read now, intends to write — shared
 /// with readers but exclusive among updaters, the classic cure for
-/// read-then-write upgrade deadlocks), Write (exclusive).
-enum class LockMode { Read, Update, Write };
+/// read-then-write upgrade deadlocks), Write (exclusive). One byte, so a
+/// lock request packs into 16 (cc::LockTable::Request).
+enum class LockMode : std::uint8_t { Read, Update, Write };
+inline constexpr std::size_t kLockModes = 3;
 
 inline bool lock_compatible(LockMode a, LockMode b) {
   if (a == LockMode::Write || b == LockMode::Write) return false;

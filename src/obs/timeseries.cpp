@@ -749,8 +749,8 @@ std::string timeseries_csv(const TsSeries& s) {
     for (std::size_t b = 0; b < s.stations.size(); ++b) {
       const double busy =
           b < w.station_busy_s.size() ? w.station_busy_s[b] : 0.0;
-      out += "," +
-             n(sim::safe_ratio(busy, width * s.stations[b].capacity));
+      out += ',';
+      out += n(sim::safe_ratio(busy, width * s.stations[b].capacity));
     }
     out += "\n";
   }

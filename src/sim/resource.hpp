@@ -56,7 +56,8 @@ class Resource {
 
   /// Awaitable returned by use(). With a server free it needs no coroutine
   /// of its own: it grants the server, records the zero wait and schedules
-  /// the caller at now + service (or, for service <= 0, does not suspend);
+  /// the caller at now + service (or, for service <= 0 or when the
+  /// scheduler can fast-forward to now + service, does not suspend);
   /// await_resume releases. With every server busy it starts a child
   /// coroutine running acquire/delay/release, which it owns, so the child
   /// lives in (and is destroyed with) the caller's frame. Either way the
@@ -72,7 +73,8 @@ class Resource {
       r_.grant_now();
       r_.note_granted(-1.0, 0.0);
       held_ = true;
-      return service_ <= 0.0;
+      return service_ <= 0.0 ||
+             r_.sched_.try_advance(r_.sched_.now() + service_);
     }
     std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
       if (held_) {

@@ -1,5 +1,7 @@
 #include "sim/scheduler.hpp"
 
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <utility>
 
@@ -75,6 +77,13 @@ void Scheduler::schedule_call(SimTime t, std::function<void()> fn) {
   enqueue(t, (seq_++ << 1) | 1u, slot);
 }
 
+void Scheduler::bad_time(SimTime t) const {
+  std::fprintf(stderr,
+               "gemsd: event scheduled at t=%.17g with the clock at %.17g\n",
+               t, now_);
+  std::abort();
+}
+
 void Scheduler::dispatch(const Ev& ev) {
   if (ev.key & 1u) {
     // Move the callable out and recycle its slot before invoking: the
@@ -84,9 +93,11 @@ void Scheduler::dispatch(const Ev& ev) {
     free_slots_.push_back(static_cast<std::uint32_t>(ev.payload));
     fn();
   } else {
+    resuming_ = true;
     std::coroutine_handle<>::from_address(
         reinterpret_cast<void*>(ev.payload))
         .resume();
+    resuming_ = false;
   }
 }
 
@@ -111,9 +122,12 @@ void Scheduler::drain_dead_slow() {
 // heap top if it is due by `end`. Lane events all carry t == now and were
 // scheduled at now, after every heap event due now was scheduled, so this
 // merge is exactly (t, seq) order. The clock only moves when the lane is
-// empty, which keeps every lane event at t == now.
+// empty, which keeps every lane event at t == now. A fast-forward
+// (try_advance) is the event this loop would pop next, taken inside the
+// resume instead; it counts as processed there.
 std::uint64_t Scheduler::drain(SimTime end) {
-  std::uint64_t n = 0;
+  const std::uint64_t before = processed_;
+  end_ = end;
   for (;;) {
     Ev ev{};
     if (size_ != 0 && time_of(heap_[0]) == now_) {
@@ -129,16 +143,11 @@ std::uint64_t Scheduler::drain(SimTime end) {
     }
     dispatch(ev);
     drain_dead();
-    ++n;
     // Kept live per event (not folded in at loop exit) so the progress
     // heartbeat sees a moving count mid-segment.
-    ++processed_;
-    if (progress_every_ != 0 && --progress_left_ == 0) {
-      progress_left_ = progress_every_;
-      progress_cb_();
-    }
+    count_event();
   }
-  return n;
+  return processed_ - before;
 }
 
 std::uint64_t Scheduler::run_all() {

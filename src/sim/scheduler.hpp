@@ -5,6 +5,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "sim/flat_map.hpp"
@@ -29,8 +30,12 @@ namespace gemsd::sim {
 ///
 /// Events for a later instant go into a 4-ary min-heap; events for the
 /// current instant (`t == now()`: resource hand-offs, spawns, joins) go into
-/// a FIFO ring instead, which costs no sift. Dispatch order is exactly
-/// `(t, seq)` either way (DESIGN.md §5a).
+/// a FIFO ring instead, which costs no sift. A delay that would be the next
+/// event anyway skips both (try_advance). Dispatch order is exactly
+/// `(t, seq)` every way (DESIGN.md §5a).
+///
+/// Every event time is checked in every build: a NaN, infinite or past time
+/// prints the time and the clock to stderr and aborts the process.
 ///
 /// A Scheduler is strictly single-threaded: no two threads may touch it at
 /// the same time. Parallelism is across Scheduler instances, one per
@@ -48,12 +53,14 @@ class Scheduler {
 
   SimTime now() const { return now_; }
 
-  /// Resume `h` at absolute time `t` (>= now). Fast path: no allocation.
+  /// Resume `h` at absolute time `t` (finite, >= now). Fast path: no
+  /// allocation.
   void schedule(SimTime t, std::coroutine_handle<> h) {
     enqueue(t, seq_++ << 1, reinterpret_cast<std::uintptr_t>(h.address()));
   }
-  /// Run `fn` at absolute time `t` (timers, arrival generators hooks). The
-  /// callable lives in the side slab until it fires; its slot is recycled.
+  /// Run `fn` at absolute time `t` (finite, >= now; timers, arrival
+  /// generators hooks). The callable lives in the side slab until it fires;
+  /// its slot is recycled.
   void schedule_call(SimTime t, std::function<void()> fn);
 
   /// Start a root process. The scheduler owns the frame; it is destroyed
@@ -77,13 +84,47 @@ class Scheduler {
   std::size_t max_queued() const { return max_queued_; }
   std::uint64_t events_processed() const { return processed_; }
   std::size_t live_processes() const { return roots_.size(); }
+  /// Cost counters since construction: events pushed on the heap, put in
+  /// the same-instant lane, and fast-forwarded (try_advance). Each
+  /// scheduled event takes exactly one of the three ways.
+  std::uint64_t heap_pushes() const { return heap_pushes_; }
+  std::uint64_t lane_events() const { return lane_events_; }
+  std::uint64_t fast_forwards() const { return fast_forwards_; }
+
+  /// Fast-forward: the calling coroutine's next event at `t` (>= now) would
+  /// be the very next event dispatched, so take it at once. Called from an
+  /// await_ready that would otherwise schedule the caller at `t` and
+  /// suspend. It fires only inside a coroutine resume (suspending would hand
+  /// control straight back to the event loop), with the same-instant lane
+  /// empty, `t` strictly before the heap top and `t` at or before the end
+  /// of the current run_until; then nothing else can be due before `t`. It
+  /// takes a sequence number, counts the event as queued and processed
+  /// (queue high-water mark, --progress countdown) and moves the clock to
+  /// `t`, so order and every count are those of the schedule it replaces.
+  bool try_advance(SimTime t) {
+    check_time(t);
+    // Bit patterns order as the times do (t >= now >= +0.0), and an empty
+    // heap's top is the sentinel, which every time precedes.
+    if (!resuming_ || !lane_.empty() ||
+        std::bit_cast<std::uint64_t>(t) >= heap_[0].t || t > end_) {
+      return false;
+    }
+    ++seq_;
+    ++fast_forwards_;
+    note_queued(size_ + 1);
+    count_event();
+    now_ = t;
+    return true;
+  }
 
   /// Awaitable: suspend the calling process for `d` simulated time.
   auto delay(SimTime d) {
     struct Awaiter {
       Scheduler& s;
       SimTime d;
-      bool await_ready() const noexcept { return d <= 0.0; }
+      bool await_ready() const {
+        return d <= 0.0 || s.try_advance(s.now_ + d);
+      }
       void await_suspend(std::coroutine_handle<> h) {
         s.schedule(s.now_ + d, h);
       }
@@ -145,16 +186,35 @@ class Scheduler {
   static constexpr std::size_t kPad = 3;
   static constexpr Ev kSentinel{~std::uint64_t{0}, ~std::uint64_t{0}, 0};
 
+  /// One branch in every build: `t` must be finite and not before now.
+  void check_time(SimTime t) const {
+    const bool ok =
+        (t >= now_) & (t <= std::numeric_limits<SimTime>::max());
+    if (!ok) [[unlikely]] bad_time(t);
+  }
+  [[noreturn]] void bad_time(SimTime t) const;
   void enqueue(SimTime t, std::uint64_t key, std::uintptr_t payload) {
-    assert(t >= now_);
+    check_time(t);
     const Ev ev{std::bit_cast<std::uint64_t>(t), key, payload};
     if (t == now_) {
       lane_.push_back(ev);
+      ++lane_events_;
     } else {
       push(ev);
+      ++heap_pushes_;
     }
-    const std::size_t q = size_ + lane_.size();
+    note_queued(size_ + lane_.size());
+  }
+  void note_queued(std::size_t q) {
     if (q > max_queued_) max_queued_ = q;
+  }
+  /// Counts one processed event and runs the --progress countdown.
+  void count_event() {
+    ++processed_;
+    if (progress_every_ != 0 && --progress_left_ == 0) {
+      progress_left_ = progress_every_;
+      progress_cb_();
+    }
   }
   void push(Ev ev);
   Ev pop_top();
@@ -175,9 +235,14 @@ class Scheduler {
   std::vector<std::function<void()>> slab_;  ///< callback side slab
   std::vector<std::uint32_t> free_slots_;    ///< recycled slab indices
   SimTime now_ = 0.0;
+  SimTime end_ = 0.0;       ///< end of the current (or last) drain
+  bool resuming_ = false;   ///< dispatching a coroutine resume
   std::uint64_t seq_ = 0;
   std::size_t max_queued_ = 0;
   std::uint64_t processed_ = 0;
+  std::uint64_t heap_pushes_ = 0;
+  std::uint64_t lane_events_ = 0;
+  std::uint64_t fast_forwards_ = 0;
   FlatSet<void*> roots_;  ///< frames of live root processes
   std::vector<std::coroutine_handle<>> dead_;
   std::function<void()> progress_cb_;

@@ -179,8 +179,10 @@ Trace Trace::load(std::istream& is) {
       fail(line, "unknown record '" + std::string(mode) + "'");
     }
     if (f.n != 3) {
-      fail(line, "'" + std::string(mode) + "' takes 2 fields, got " +
-                     std::to_string(f.n - 1));
+      std::string msg(1, '\'');
+      msg.append(mode).append("' takes 2 fields, got ");
+      msg += std::to_string(f.n - 1);
+      fail(line, msg);
     }
     try {
       if (mode == "t") {

@@ -1,16 +1,21 @@
-// Allocation gate on the model's hot path (DESIGN.md §5a): after warm-up,
-// a run may make only a few heap allocations and a bounded number of
-// coroutine frames per committed transaction. The binary replaces the
+// Cost gate on the model's hot path (DESIGN.md §5a): after warm-up, a run
+// may make only a few heap allocations, a bounded number of coroutine
+// frames, heap pushes and same-instant lane events, and a bounded number of
+// lock-queue entry reads per committed transaction. The binary replaces the
 // global operator new with a counting one, so it is its own executable (the
 // main suite does not pay for the counter); frames are counted by the frame
-// pool. The counts are deterministic for a given binary, so the gate is
-// exact where a wall-clock benchmark cannot be: a coroutine wrapper that
-// creeps back around a station fails it.
+// pool, events by the scheduler and queue reads by the lock table. The
+// counts are deterministic for a given binary, so the gate is exact where a
+// wall-clock benchmark cannot be: a coroutine wrapper that creeps back
+// around a station, a delay that stops fast-forwarding or a lock-queue scan
+// that grows back fails it.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <utility>
 
 #include "core/experiment.hpp"
 #include "core/system.hpp"
@@ -33,33 +38,52 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 namespace gemsd {
 namespace {
 
+/// Counts per commit in the measured phase of a run.
 struct PerCommit {
-  double allocs;  ///< heap allocations
-  double frames;  ///< coroutine frames
+  double allocs;         ///< heap allocations
+  double frames;         ///< coroutine frames
+  double heap_pushes;    ///< events pushed on the scheduler's heap
+  double fast_forwards;  ///< events taken at once (Scheduler::try_advance)
+  double lane_events;    ///< events in the same-instant lane
+  double lock_examined;  ///< lock-queue entries read by the table's scans
 };
 
-/// Heap allocations and coroutine frames per commit in the measured phase
-/// of a run of `cfg`; both are recorded as test properties.
+/// The counts of PerCommit in the measured phase of a run of `cfg`; each is
+/// recorded as a test property.
 PerCommit per_commit(const SystemConfig& cfg, System::Workload wl) {
   using sim::detail::FramePool;
   System sys(cfg, std::move(wl));
+  const sim::Scheduler& sched = sys.scheduler();
+  const cc::LockTable& table = sys.protocol().table();
+  auto counts = [&] {
+    return std::array<std::uint64_t, 6>{
+        g_allocs,           FramePool::frames_allocated(),
+        sched.heap_pushes(), sched.fast_forwards(),
+        sched.lane_events(), table.entries_examined()};
+  };
   sys.start_source();
   sys.run_until(cfg.warmup);
   sys.reset_stats();
-  const std::uint64_t allocs0 = g_allocs;
-  const std::uint64_t frames0 = FramePool::frames_allocated();
+  const auto before = counts();
   sys.run_until(cfg.warmup + cfg.measure);
-  const std::uint64_t allocs = g_allocs - allocs0;
-  const std::uint64_t frames = FramePool::frames_allocated() - frames0;
+  const auto after = counts();
   const RunResult r = sys.collect();
   EXPECT_GT(r.commits, 1000u);
   const double commits = static_cast<double>(r.commits);
-  const PerCommit c{static_cast<double>(allocs) / commits,
-                    static_cast<double>(frames) / commits};
-  ::testing::Test::RecordProperty("allocs_per_commit",
-                                  std::to_string(c.allocs));
-  ::testing::Test::RecordProperty("frames_per_commit",
-                                  std::to_string(c.frames));
+  auto per = [&](std::size_t i) {
+    return static_cast<double>(after[i] - before[i]) / commits;
+  };
+  const PerCommit c{per(0), per(1), per(2), per(3), per(4), per(5)};
+  const std::pair<const char*, double> props[] = {
+      {"allocs_per_commit", c.allocs},
+      {"frames_per_commit", c.frames},
+      {"heap_pushes_per_commit", c.heap_pushes},
+      {"fast_forwards_per_commit", c.fast_forwards},
+      {"lane_events_per_commit", c.lane_events},
+      {"lock_entries_examined_per_commit", c.lock_examined}};
+  for (const auto& [key, value] : props) {
+    ::testing::Test::RecordProperty(key, std::to_string(value));
+  }
   return c;
 }
 
@@ -78,6 +102,13 @@ TEST(AllocGate, GemTraceCellStaysWithinBudget) {
   const PerCommit c = per_commit(cfg, make_trace_workload(cfg, trace));
   EXPECT_LE(c.allocs, 15.0);
   EXPECT_LE(c.frames, 490.0);  // measured 423.6
+  // Measured 272.5 pushes, 150.4 fast-forwards and 54.0 lane events (422.8
+  // pushes without fast-forward dispatch); 970.5 queue entries read (1,947
+  // when every test scanned the whole queue).
+  EXPECT_LE(c.heap_pushes, 315.0);
+  EXPECT_GE(c.fast_forwards, 128.0);
+  EXPECT_LE(c.lane_events, 62.0);
+  EXPECT_LE(c.lock_examined, 1120.0);
 }
 
 TEST(AllocGate, StandardTraceIsBuiltWithoutRegrowth) {
@@ -113,6 +144,12 @@ TEST(AllocGate, PclDebitCreditCellStaysWithinBudget) {
   const PerCommit c = per_commit(cfg, make_debit_credit_workload(cfg));
   EXPECT_LE(c.allocs, 30.0);
   EXPECT_LE(c.frames, 70.0);  // measured 61.0
+  // Measured 33.6 pushes, 2.93 fast-forwards, 25.0 lane events and 3.11
+  // queue entries read (36.5 pushes and 3.29 reads before).
+  EXPECT_LE(c.heap_pushes, 38.6);
+  EXPECT_GE(c.fast_forwards, 2.5);
+  EXPECT_LE(c.lane_events, 28.8);
+  EXPECT_LE(c.lock_examined, 3.6);
 }
 
 }  // namespace

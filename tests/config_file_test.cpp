@@ -196,16 +196,19 @@ TEST(RunSpec, LogDisksBelowOneIsRejectedWithKeyAndLine) {
   EXPECT_EQ(parse_error("[system]\nlog_disks = 1\n"), "");
 }
 
-TEST(RunSpec, TraceTxnsBelowOneIsRejectedWithKeyAndLine) {
+TEST(RunSpec, TraceTxnsOutOfRangeIsRejectedWithKeyAndLine) {
   // trace_txns = 0 printed an all-zero row and exited 0; -1 failed deep in
-  // the trace generator with "vector::reserve".
-  for (const char* v : {"0", "-1"}) {
+  // the trace generator with "vector::reserve", and 10^13 with a bare
+  // std::bad_alloc.
+  for (const char* v : {"0", "-1", "1000001", "10000000000000"}) {
     const std::string err = parse_error(
         std::string("[workload]\nkind = trace\ntrace_txns = ") + v + "\n");
     EXPECT_NE(err.find("line 3"), std::string::npos) << v << ": " << err;
     EXPECT_NE(err.find("trace_txns"), std::string::npos) << v << ": " << err;
   }
   EXPECT_EQ(parse_error("[workload]\nkind = trace\ntrace_txns = 1\n"), "");
+  EXPECT_EQ(
+      parse_error("[workload]\nkind = trace\ntrace_txns = 1000000\n"), "");
 }
 
 // Each repro below ran on a 2-node debit-credit spec before validate(): an

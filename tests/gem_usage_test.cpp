@@ -25,7 +25,7 @@ SystemConfig small_cfg(Coupling c) {
   cfg.buffer_pages = 50;
   cfg.partitions.resize(1);
   auto& pc = cfg.partitions[0];
-  pc.name = "T";
+  pc.name += "T";
   pc.pages_per_unit = 1000;
   pc.locked = true;
   pc.disks_per_unit = 4;

@@ -23,7 +23,7 @@ SystemConfig engine_cfg(int nodes = 2) {
   cfg.update = UpdateStrategy::Force;
   cfg.buffer_pages = 50;
   cfg.partitions.resize(1);
-  cfg.partitions[0].name = "T";
+  cfg.partitions[0].name += "T";
   cfg.partitions[0].pages_per_unit = 1000;
   cfg.partitions[0].locked = true;
   cfg.partitions[0].disks_per_unit = 4;

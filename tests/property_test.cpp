@@ -241,6 +241,9 @@ struct RefLocks {
   }
 };
 
+// A request is txn, node, mode and two flags: 16 bytes, with no callback.
+static_assert(sizeof(cc::LockTable::Request) == 16);
+
 TEST_P(LockFuzz, FlatTableMatchesReferenceUnderCancelHeavyChurn) {
   // Differential check of the flat-storage table against RefLocks: many
   // live pages across partitions (long probe runs, wrap-around and
@@ -262,10 +265,28 @@ TEST_P(LockFuzz, FlatTableMatchesReferenceUnderCancelHeavyChurn) {
   for (int i = 0; i < 600; ++i) pool.push_back(fuzz_page(rng, 200));
 
   int waits = 0, cancels = 0, upgrades = 0, granted_waits = 0;
+  // The table's per-page counts describe the reference queue: granted
+  // requests form a prefix of that length, with these counts per mode.
+  const auto check_counts = [&](PageId p) {
+    cc::LockTable::GrantedCounts want;
+    if (const auto it = ref.pages.find(p); it != ref.pages.end()) {
+      for (const auto& r : it->second) {
+        if (!r.granted) continue;
+        ASSERT_EQ(&r - it->second.data(), want.granted)
+            << "granted request behind a waiter";
+        ++want.granted;
+        ++want.by_mode[static_cast<std::size_t>(r.mode)];
+      }
+    }
+    const cc::LockTable::GrantedCounts got = lt.granted_counts(p);
+    ASSERT_EQ(got.granted, want.granted);
+    ASSERT_EQ(got.by_mode, want.by_mode);
+  };
   const auto release_all = [&](TxnId t) {
     for (const auto& [p, m] : txns[t].held) {
       lt.release(p, t);
       ref.release(p, t);
+      check_counts(p);
     }
     txns[t].held.clear();
   };
@@ -289,6 +310,7 @@ TEST_P(LockFuzz, FlatTableMatchesReferenceUnderCancelHeavyChurn) {
     ref.grants.clear();
   };
   const auto check_page = [&](PageId p) {
+    ASSERT_NO_FATAL_FAILURE(check_counts(p));
     ASSERT_EQ(lt.waiters(p), ref.waiters(p));
     for (TxnId t = 1; t <= kTxns; ++t) {
       const auto& st = txns[t];

@@ -26,7 +26,7 @@ SystemConfig small_cfg(Coupling c, UpdateStrategy u) {
   cfg.buffer_pages = 50;
   cfg.partitions.resize(1);
   auto& pc = cfg.partitions[0];
-  pc.name = "T";
+  pc.name += "T";
   pc.pages_per_unit = 1000;
   pc.blocking_factor = 1;
   pc.locked = true;

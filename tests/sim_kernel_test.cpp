@@ -8,7 +8,9 @@
 #include <cmath>
 #include <coroutine>
 #include <cstdint>
+#include <limits>
 #include <random>
+#include <set>
 #include <vector>
 
 #include "sim/oneshot.hpp"
@@ -20,6 +22,8 @@
 
 namespace gemsd::sim {
 namespace {
+
+constexpr double kNever = std::numeric_limits<double>::infinity();
 
 TEST(Scheduler, RunsCallbacksInTimeOrder) {
   Scheduler s;
@@ -93,6 +97,48 @@ TEST(Scheduler, ProgressHookFiresEveryNEvents) {
   EXPECT_EQ(fired, 2);  // after events 10 and 20
 }
 
+Task<void> sleep_for(Scheduler& s, double d) { co_await s.delay(d); }
+
+Task<void> resume_at(Scheduler& s, double t) {
+  co_await s.suspend([&s, t](std::coroutine_handle<> h) { s.schedule(t, h); });
+}
+
+// The kernel's time guard holds in every build, NDEBUG included: a NaN,
+// infinite or past event time ends the run, printing the time and the clock.
+// Without it, a NaN delay with an empty heap would fast-forward the clock to
+// NaN.
+TEST(SchedulerDeathTest, NonFiniteOrPastTimeAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // With the clock at 2: a callback, or a process resumed through schedule.
+  const auto call_at = [](double t) {
+    Scheduler s;
+    s.schedule_call(2.0, [&s, t] { s.schedule_call(t, [] {}); });
+    s.run_all();
+  };
+  const auto resume_process_at = [](double t) {
+    Scheduler s;
+    s.schedule_call(2.0, [&s, t] { s.spawn(resume_at(s, t)); });
+    s.run_all();
+  };
+  for (const auto& at : {+call_at, +resume_process_at}) {
+    EXPECT_DEATH(at(nan), "event scheduled at t=-?nan with the clock at 2");
+    EXPECT_DEATH(at(kNever), "event scheduled at t=inf with the clock at 2");
+    EXPECT_DEATH(at(2.0 - 1.0), "event scheduled at t=1 with the clock at 2");
+  }
+  // A delay from the only process, at clock 0 (what fast-forward would
+  // take). A non-positive delay is no time: the process goes on at once.
+  const auto delay_by = [](double d) {
+    Scheduler s;
+    s.spawn(sleep_for(s, d));
+    s.run_all();
+    return s.now();
+  };
+  EXPECT_DEATH(delay_by(nan), "event scheduled at t=-?nan with the clock at 0");
+  EXPECT_DEATH(delay_by(kNever), "event scheduled at t=inf with the clock at 0");
+  EXPECT_EQ(delay_by(-1.0), 0.0);
+}
+
 TEST(Task, NestedAwaitPropagatesValuesAndTime) {
   Scheduler s;
   int out = 0;
@@ -127,7 +173,11 @@ TEST(Scheduler, TeardownDestroysSuspendedProcesses) {
 /// Every schedule call is stamped (t, n), n counting schedule calls in call
 /// order; the oracle checks what the kernel promises: dispatch in strictly
 /// increasing (t, n), each event exactly once, and a queue high-water mark
-/// equal to the oracle's own count of pending events.
+/// equal to the oracle's own count of pending events. Processes also aim
+/// delays at the edges of fast-forward dispatch: exactly the end of the
+/// run_until in progress (may fast-forward), exactly the time of the
+/// earliest pending event after now (a tie: must queue behind it) and past
+/// the end (must wait for a later run_until).
 struct OrderOracle {
   struct Stamp {
     double t;
@@ -141,17 +191,24 @@ struct OrderOracle {
   std::vector<int> runs;          ///< dispatches of stamp n
   std::vector<Stamp> dispatched;
   std::size_t pending = 0, high_water = 0;
+  std::multiset<double> pending_t;  ///< times of the pending stamps
+  double end = 0.0;   ///< end of the run_until in progress (inf: run_all)
   int lane_hits = 0;  ///< stamps at t == now
+  /// Delays that landed exactly on `end` and were fast-forwarded, landed
+  /// exactly on a pending event's time, and landed past `end`.
+  int ff_on_end = 0, on_pending = 0, past_end = 0;
 
   Stamp stamp(double t) {
     if (t == s.now()) ++lane_hits;
     stamped_t.push_back(t);
     runs.push_back(0);
+    pending_t.insert(t);
     if (++pending > high_water) high_water = pending;
     return Stamp{t, stamped_t.size() - 1};
   }
   void ran(Stamp st) {
     --pending;
+    pending_t.erase(pending_t.find(st.t));
     EXPECT_EQ(s.now(), st.t) << "stamp " << st.n;
     ++runs[st.n];
     dispatched.push_back(st);
@@ -204,11 +261,41 @@ Task<void> oracle_process(OrderOracle& o, OrderOracle::Stamp first) {
     if (o.rng.bernoulli(0.5)) {
       // delay(d) schedules at now + d, computed exactly as here; d may be
       // so small that the sum rounds back to now.
-      const double d = o.rng.bernoulli(0.3) && o.s.now() > 0.0
-                           ? o.s.now() * 1e-17
-                           : o.rng.exponential(0.3);
-      const OrderOracle::Stamp st = o.stamp(o.s.now() + d);
+      const double now = o.s.now();
+      const auto later = o.pending_t.upper_bound(now);
+      double d = o.rng.exponential(0.3);
+      switch (o.rng.uniform_int(0, 5)) {
+        case 0:
+          if (now > 0.0) d = now * 1e-17;
+          break;
+        case 1:  // onto the end of the run_until in progress
+          if (now < o.end && o.end < kNever) d = o.end - now;
+          break;
+        case 2:  // onto the earliest pending time after now
+          if (later != o.pending_t.end()) d = *later - now;
+          break;
+        case 3:  // past the end
+          if (o.end < kNever) d += o.end - now;
+          break;
+        default:
+          break;
+      }
+      const double t = now + d;
+      const bool on_end = t == o.end;
+      const bool on_pending = later != o.pending_t.end() && t == *later;
+      const bool past_end = t > o.end;
+      const OrderOracle::Stamp st = o.stamp(t);
+      const std::uint64_t ff0 = o.s.fast_forwards();
+      const std::size_t ran0 = o.dispatched.size();
       co_await o.s.delay(d);
+      // Fast-forwarded: no other event ran, and the kernel counted one.
+      const bool ff =
+          o.dispatched.size() == ran0 && o.s.fast_forwards() == ff0 + 1;
+      EXPECT_FALSE(ff && (on_pending || past_end))
+          << "stamp " << st.n << " at t=" << t << " skipped the queue";
+      o.ff_on_end += on_end && ff;
+      o.on_pending += on_pending;
+      o.past_end += past_end;
       o.ran(st);
     } else {
       const double t = o.pick_time();
@@ -231,6 +318,7 @@ TEST(SchedulerOracle, DispatchOrderIsStrictlyTimeThenScheduleOrder) {
   // Several run_until boundaries, including one at now and ones on the
   // coarse grid; new events are injected at each boundary.
   for (const double end : {0.0, 0.6, 1.25, 1.25, 2.0, 3.1, 4.5}) {
+    o.end = end;
     o.s.run_until(end);
     EXPECT_EQ(o.s.now(), end);
     for (std::size_t n = 0; n < o.runs.size(); ++n) {
@@ -240,6 +328,7 @@ TEST(SchedulerOracle, DispatchOrderIsStrictlyTimeThenScheduleOrder) {
     EXPECT_EQ(o.s.queued_events(), o.pending);
     for (int i = 0; i < 4 && o.budget > 0; ++i) o.random_event();
   }
+  o.end = kNever;
   o.s.run_all();
 
   ASSERT_EQ(o.pending, 0u);
@@ -256,9 +345,65 @@ TEST(SchedulerOracle, DispatchOrderIsStrictlyTimeThenScheduleOrder) {
   }
   EXPECT_EQ(o.s.max_queued(), o.high_water);
   EXPECT_EQ(o.s.events_processed(), o.stamped_t.size());
-  // The mix must actually exercise the same-instant lane against the heap.
+  // The mix must actually exercise the same-instant lane against the heap,
+  // fast-forwards against queued events, and each fast-forward edge.
   EXPECT_GT(o.lane_hits, 500);
   EXPECT_GT(o.stamped_t.size(), 3000u);
+  EXPECT_GT(o.s.fast_forwards(), 40u);  // measured 75
+  EXPECT_GT(o.s.heap_pushes(), 1000u);
+  EXPECT_EQ(o.s.fast_forwards() + o.s.heap_pushes() + o.s.lane_events(),
+            o.stamped_t.size());
+  EXPECT_GT(o.ff_on_end, 0);     // measured 2
+  EXPECT_GT(o.on_pending, 50);  // measured 172
+  EXPECT_GT(o.past_end, 50);    // measured 254
+}
+
+/// One process against one queued callback at t = 2 (logged as -t): a delay
+/// onto the end of run_until(1) fast-forwards, one onto the callback's time
+/// queues behind it, and one past the end of run_until(3) waits for the
+/// next run.
+Task<void> edge_walker(Scheduler& s, std::vector<double>& log) {
+  s.schedule_call(2.0, [&s, &log] { log.push_back(-s.now()); });
+  co_await s.delay(1.0);
+  log.push_back(s.now());
+  co_await s.delay(1.0);
+  log.push_back(s.now());
+  co_await s.delay(2.0);
+  log.push_back(s.now());
+}
+
+Task<void> queue_then_sleep(Scheduler& s) {
+  s.schedule_call(5.0, [] {});
+  co_await s.delay(1.0);
+}
+
+TEST(SchedulerOracle, FastForwardOnlyTakesTheNextDueEvent) {
+  Scheduler s;
+  std::vector<double> log;
+  int beats = 0;
+  s.set_progress_hook([&] { ++beats; }, 1);
+  s.spawn(edge_walker(s, log));
+  s.run_until(1.0);
+  EXPECT_EQ(log, (std::vector<double>{1.0}));
+  EXPECT_EQ(s.fast_forwards(), 1u);
+  EXPECT_EQ(s.events_processed(), 2u);
+  s.run_until(3.0);
+  EXPECT_EQ(log, (std::vector<double>{1.0, -2.0, 2.0}));
+  EXPECT_EQ(s.fast_forwards(), 1u);
+  EXPECT_EQ(s.queued_events(), 1u);
+  EXPECT_EQ(s.now(), 3.0);
+  s.run_all();
+  EXPECT_EQ(log, (std::vector<double>{1.0, -2.0, 2.0, 4.0}));
+  EXPECT_EQ(s.events_processed(), 5u);
+  EXPECT_EQ(beats, 5);
+
+  // A fast-forward counts as queued: the process's own spawn event was the
+  // only one queued before, the callback and the delay make two.
+  Scheduler q;
+  q.spawn(queue_then_sleep(q));
+  q.run_all();
+  EXPECT_EQ(q.fast_forwards(), 1u);
+  EXPECT_EQ(q.max_queued(), 2u);
 }
 
 Task<void> worker(Resource& r, double service, int* done) {

@@ -36,7 +36,7 @@ SystemConfig hostile_cfg(Coupling c, UpdateStrategy u, int nodes,
   cfg.mpl = 200;
   cfg.partitions.resize(1);
   auto& pc = cfg.partitions[0];
-  pc.name = "T";
+  pc.name += "T";
   pc.pages_per_unit = 64;  // tiny, hot page space
   pc.locked = true;
   pc.disks_per_unit = 8;

@@ -93,7 +93,7 @@ SystemConfig hot_cfg(Coupling c) {
   cfg.buffer_pages = 16;
   cfg.mpl = 200;
   cfg.partitions.resize(1);
-  cfg.partitions[0].name = "T";
+  cfg.partitions[0].name += "T";
   cfg.partitions[0].pages_per_unit = 64;
   cfg.partitions[0].locked = true;
   cfg.partitions[0].disks_per_unit = 8;

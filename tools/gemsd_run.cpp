@@ -173,7 +173,8 @@ int main(int argc, char** argv) {
       } else {
         out.r = run_trace(cfg, *trace);
         for (int f = 0; f < trace->num_files; ++f) {
-          out.names.push_back("F" + std::to_string(f));
+          out.names.emplace_back(1, 'F');
+          out.names.back() += std::to_string(f);
         }
       }
       return out;
