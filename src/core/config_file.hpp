@@ -18,8 +18,9 @@ struct SpecKey {
 };
 using SpecKeyValues = std::vector<SpecKey>;
 
-/// Largest `trace_txns`: the synthetic trace keeps about 60 references of 8
-/// bytes per transaction, so 10^6 transactions are about 0.5 GB of trace.
+/// Largest `trace_txns`: the synthetic trace keeps about 60 references of
+/// 19 bits and a 16-byte record per transaction, about 160 bytes, so 10^6
+/// transactions are about 0.16 GB of trace.
 inline constexpr std::int64_t kMaxTraceTxns = 1000000;
 
 /// A complete experiment specification parsed from a small INI-style file —

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cctype>
 #include <cmath>
 #include <fstream>
@@ -15,19 +16,21 @@ namespace gemsd::workload {
 
 namespace {
 
-constexpr std::uint64_t kPageMask = (std::uint64_t{1} << 47) - 1;
+/// Words that hold the references below bit `end`, plus the word read past
+/// the last reference's first word.
+std::size_t words_for(std::uint64_t end) { return (end >> 6) + 2; }
 
-/// Packs a range-checked reference: partition << 48 | page << 1 | write.
-std::uint64_t pack(std::int64_t partition, std::int64_t page, bool write) {
-  return (static_cast<std::uint64_t>(partition) << 48) |
-         (static_cast<std::uint64_t>(page) << 1) |
-         static_cast<std::uint64_t>(write);
+/// Bits that `v` needs (0 for 0); `v` is range-checked, so not negative.
+unsigned bits_for(std::int64_t v) {
+  return static_cast<unsigned>(std::bit_width(static_cast<std::uint64_t>(v)));
 }
 
-PageRef unpack(std::uint64_t v) {
-  return PageRef{PageId{static_cast<PartitionId>(v >> 48),
-                        static_cast<std::int64_t>((v >> 1) & kPageMask)},
-                 (v & 1) != 0};
+void check_page(std::int64_t page) {
+  if (page < 0 || page > Trace::kMaxPage) {
+    throw std::invalid_argument("page " + std::to_string(page) +
+                                " outside [0, " +
+                                std::to_string(Trace::kMaxPage) + "]");
+  }
 }
 
 [[noreturn]] void fail(std::size_t line, const std::string& what) {
@@ -86,10 +89,81 @@ TxnSpec Trace::txn(std::size_t i) const {
   s.type = t.type;
   s.affinity_key = t.type;
   s.refs.resize(t.count);
-  for (std::size_t k = 0; k < t.count; ++k) {
-    s.refs[k] = unpack(refs_[t.first + k]);
-  }
+  for (std::size_t k = 0; k < t.count; ++k) s.refs[k] = ref(t.first + k);
   return s;
+}
+
+PageRef Trace::ref(std::uint64_t i) const {
+  const std::uint64_t bit = i * width_;
+  const std::size_t w = bit >> 6;
+  const unsigned off = bit & 63;
+  // The next word's bits go above the first's: `<< 1 << (63 - off)` shifts
+  // by 64 - off, and to nothing at off = 0, where a single shift by 64
+  // would be undefined; `~0 >> (64 - width_)` is the mask up to width 64.
+  const std::uint64_t v =
+      ((words_[w] >> off) | ((words_[w + 1] << 1) << (63 - off))) &
+      (~std::uint64_t{0} >> (64 - width_));
+  const std::uint64_t partition_mask =
+      (std::uint64_t{1} << partition_bits_) - 1;
+  return PageRef{PageId{static_cast<PartitionId>((v >> 1) & partition_mask),
+                        static_cast<std::int64_t>(v >> (partition_bits_ + 1))},
+                 (v & 1) != 0};
+}
+
+void Trace::reserve(std::size_t txns, std::size_t refs,
+                    std::int64_t largest_page) {
+  check_page(largest_page);
+  txns_.reserve(txns);
+  widen(0, largest_page);
+  const std::size_t words = words_for(refs * width_);
+  if (words > capacity_) grow(words);
+}
+
+void Trace::grow(std::size_t words) {
+  // Uninitialized: the words past the references are written as they fill,
+  // so a reserve that is not used costs no memory that is touched.
+  auto bigger = std::make_unique_for_overwrite<std::uint64_t[]>(words);
+  const std::uint64_t end = refs_ * width_;
+  const std::size_t keep = capacity_ == 0 ? 0 : (end >> 6) + 1;
+  std::copy_n(words_.get(), keep, bigger.get());
+  std::fill(bigger.get() + keep, bigger.get() + words_for(end), 0);
+  words_ = std::move(bigger);
+  capacity_ = words;
+}
+
+void Trace::widen(std::int64_t partition, std::int64_t page) {
+  const int files = std::clamp(num_files, 1, kMaxFiles);
+  const unsigned partition_bits = std::max(
+      {partition_bits_, bits_for(files - 1), bits_for(partition)});
+  const unsigned page_bits = std::max(page_bits_, bits_for(page));
+  const unsigned width = 1 + partition_bits + page_bits;
+  if (width == width_) return;
+  if (refs_ != 0) repack(width, partition_bits);
+  partition_bits_ = partition_bits;
+  page_bits_ = page_bits;
+  width_ = width;
+}
+
+void Trace::repack(unsigned width, unsigned partition_bits) {
+  const std::uint64_t end = refs_ * width_;
+  const std::size_t words = words_for(refs_ * width);
+  if (words > capacity_) grow(words);
+  std::fill(words_.get() + (end >> 6) + 1, words_.get() + words, 0);
+  // Back to front: reference i moves to bit i * width, at or past its old
+  // place, so it overwrites only references that have already moved.
+  const std::uint64_t mask = ~std::uint64_t{0} >> (64 - width);
+  for (std::uint64_t i = refs_; i-- > 0;) {
+    const PageRef r = ref(i);
+    const std::uint64_t v =
+        pack(static_cast<std::uint64_t>(r.page.partition),
+             static_cast<std::uint64_t>(r.page.page), r.write, partition_bits);
+    const std::uint64_t bit = i * width;
+    const std::size_t w = bit >> 6;
+    const unsigned off = bit & 63;
+    words_[w] = (words_[w] & ~(mask << off)) | (v << off);
+    words_[w + 1] = (words_[w + 1] & ~((mask >> 1) >> (63 - off))) |
+                    ((v >> 1) >> (63 - off));
+  }
 }
 
 void Trace::add_txn(std::int64_t type) {
@@ -98,27 +172,23 @@ void Trace::add_txn(std::int64_t type) {
                                 " outside [0, " + std::to_string(num_types) +
                                 ")");
   }
-  txns_.push_back(Txn{refs_.size(), 0, static_cast<std::int32_t>(type)});
+  txns_.push_back(Txn{refs_, 0, static_cast<std::int32_t>(type)});
 }
 
-void Trace::add_ref(std::int64_t partition, std::int64_t page, bool write) {
+void Trace::make_room(std::int64_t partition, std::int64_t page) {
   if (txns_.empty()) throw std::invalid_argument("reference before any 't'");
   const int files = std::min(num_files, kMaxFiles);
   if (partition < 0 || partition >= files) {
     throw std::invalid_argument("partition " + std::to_string(partition) +
                                 " outside [0, " + std::to_string(files) + ")");
   }
-  if (page < 0 || page > kMaxPage) {
-    throw std::invalid_argument("page " + std::to_string(page) +
-                                " outside [0, " + std::to_string(kMaxPage) +
-                                "]");
-  }
-  Txn& t = txns_.back();
-  if (t.count == UINT32_MAX) {
+  check_page(page);
+  if (txns_.back().count == UINT32_MAX) {
     throw std::invalid_argument("more than 2^32 - 1 references in one 't'");
   }
-  ++t.count;
-  refs_.push_back(pack(partition, page, write));
+  widen(partition, page);
+  const std::size_t words = words_for(refs_ * width_);
+  if (words > capacity_) grow(std::max(words, 2 * capacity_));
 }
 
 void Trace::shuffle(sim::Rng& rng) { rng.shuffle(txns_.begin(), txns_.end()); }
@@ -130,7 +200,7 @@ void Trace::save(std::ostream& os) const {
   for (const Txn& t : txns_) {
     os << "t " << t.type << " " << t.count << "\n";
     for (std::size_t k = 0; k < t.count; ++k) {
-      const PageRef r = unpack(refs_[t.first + k]);
+      const PageRef r = ref(t.first + k);
       os << (r.write ? "w " : "r ") << r.page.partition << " " << r.page.page
          << "\n";
     }
@@ -166,9 +236,17 @@ Trace Trace::load(std::istream& is) {
         fail(line, "not a gemsd trace (expected 'gemsd-trace 1')");
       }
     } else if (header == 1) {
-      tr.num_types = header_count(f, "types", INT32_MAX, line);
+      tr.num_types = header_count(f, "types", kMaxTypes, line);
     } else if (header == 2) {
       tr.num_files = header_count(f, "files", kMaxFiles, line);
+      const std::int64_t cells =
+          std::int64_t{tr.num_types} * std::int64_t{tr.num_files};
+      if (cells > kMaxTypeFileCells) {
+        fail(line, "files " + std::to_string(tr.num_files) + " with types " +
+                       std::to_string(tr.num_types) + ": " +
+                       std::to_string(cells) + " type-file cells, more than " +
+                       std::to_string(kMaxTypeFileCells));
+      }
     }
     if (header < 3) {
       ++header;
@@ -229,7 +307,7 @@ TraceStats compute_stats(const Trace& t) {
     s.largest_txn = std::max<std::size_t>(s.largest_txn, txn.count);
     bool upd = false;
     for (std::size_t k = 0; k < txn.count; ++k) {
-      const PageRef r = unpack(t.refs_[txn.first + k]);
+      const PageRef r = t.ref(txn.first + k);
       pages.insert(r.page.key());
       if (r.write) {
         ++writes;
@@ -263,7 +341,7 @@ TraceProfile profile_trace(const Trace& t) {
     const auto ty = static_cast<std::size_t>(txn.type);
     p.type_load[ty] += static_cast<double>(txn.count);
     for (std::size_t k = 0; k < txn.count; ++k) {
-      const PageRef r = unpack(t.refs_[txn.first + k]);
+      const PageRef r = t.ref(txn.first + k);
       p.type_file_refs[ty][static_cast<std::size_t>(r.page.partition)] += 1.0;
     }
   }

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,15 +18,25 @@ struct TraceProfile;
 /// can be loaded from / saved to a portable text format so that real traces
 /// can be substituted for the synthetic one.
 ///
-/// The store is flat, so a trace costs 8 bytes per reference: one packed
-/// word per reference (partition in 16 bits, page in 47, the write flag in
-/// 1) and one 16-byte record per transaction.
+/// The store is flat and bit-packed: every reference takes the same number
+/// of bits, bit_width(num_files - 1) for the partition, bit_width(largest
+/// page) for the page and 1 for the write flag (never more than 64), and
+/// each transaction a 16-byte record. The synthetic trace's references take
+/// 19 bits (13 files, pages below 12,000), about 2.5 MB for 1 M. A
+/// reference whose partition or page needs more bits widens every
+/// reference already stored, in place.
 class Trace {
  public:
   /// Limits of the packed reference: partitions below kMaxFiles, pages in
   /// [0, kMaxPage].
   static constexpr int kMaxFiles = 1 << 16;
   static constexpr std::int64_t kMaxPage = (std::int64_t{1} << 47) - 1;
+  /// Limits of a loaded header, which bound the per-type tables (one
+  /// statistic per type, one reference count per type and file in
+  /// profile_trace): at most 65,536 types and 2^24 type-file cells (128 MB
+  /// of profile).
+  static constexpr int kMaxTypes = 1 << 16;
+  static constexpr std::int64_t kMaxTypeFileCells = std::int64_t{1} << 24;
 
   int num_types = 0;
   int num_files = 0;  ///< page partitions referenced by the trace
@@ -33,47 +44,99 @@ class Trace {
   /// Transactions in the trace.
   std::size_t size() const { return txns_.size(); }
   /// Page references of all transactions together.
-  std::size_t references() const { return refs_.size(); }
+  std::size_t references() const { return refs_; }
   /// Transaction i as the SOURCE submits it; its affinity key is its type.
   TxnSpec txn(std::size_t i) const;
 
-  /// Sizes the store for `txns` transactions and `refs` references, so a
-  /// generator that knows about how large its trace is builds it without
-  /// regrowing; a trace that outgrows it still grows.
-  void reserve(std::size_t txns, std::size_t refs) {
-    txns_.reserve(txns);
-    refs_.reserve(refs);
-  }
+  /// Sizes the store for `txns` transactions and `refs` references with
+  /// pages up to `largest_page`, and fixes the reference width from
+  /// num_files and `largest_page`, so a generator that knows about how
+  /// large its trace is builds it without regrowing or widening; a trace
+  /// that outgrows it still grows. Throws std::invalid_argument when
+  /// `largest_page` is outside [0, kMaxPage].
+  void reserve(std::size_t txns, std::size_t refs, std::int64_t largest_page);
   /// Appends a transaction without references. Throws std::invalid_argument
   /// when `type` is outside [0, num_types).
   void add_txn(std::int64_t type);
   /// Appends a reference to the last transaction. Throws
   /// std::invalid_argument when there is none, when `partition` is outside
   /// [0, num_files) or `page` outside [0, kMaxPage].
-  void add_ref(std::int64_t partition, std::int64_t page, bool write);
+  ///
+  /// Inline, as it runs once per reference: a reference that fits the
+  /// widths and the buffer is ORed into the word holding the end (zero from
+  /// the end on), its high bits, or zero, written into the next word.
+  void add_ref(std::int64_t partition, std::int64_t page, bool write) {
+    const auto part = static_cast<std::uint64_t>(partition);
+    const auto pg = static_cast<std::uint64_t>(page);
+    if (txns_.empty() || txns_.back().count == UINT32_MAX ||
+        partition >= num_files ||
+        ((part >> partition_bits_) | (pg >> page_bits_)) != 0 ||
+        ((refs_ * width_) >> 6) + 2 > capacity_) [[unlikely]] {
+      make_room(partition, page);
+    }
+    const std::uint64_t bit = refs_ * width_;
+    const std::size_t w = bit >> 6;
+    const unsigned off = bit & 63;
+    const std::uint64_t v = pack(part, pg, write, partition_bits_);
+    words_[w] |= v << off;
+    words_[w + 1] = (v >> 1) >> (63 - off);
+    ++refs_;
+    ++txns_.back().count;
+  }
   /// Permutes the transactions (Rng::shuffle).
   void shuffle(sim::Rng& rng);
 
   void save(std::ostream& os) const;
   void save_file(const std::string& path) const;
   /// Parses the text format line by line. Throws std::runtime_error naming
-  /// the line on a bad header, an unknown record, a malformed or extra
-  /// field, a type, partition or page out of range, a transaction with
-  /// fewer or more references than its `t` line announces, or a trace
-  /// without transactions.
+  /// the line on a bad header (types above kMaxTypes, files above
+  /// kMaxFiles, or more than kMaxTypeFileCells types × files), an unknown
+  /// record, a malformed or extra field, a type, partition or page out of
+  /// range, a transaction with fewer or more references than its `t` line
+  /// announces, or a trace without transactions.
   static Trace load(std::istream& is);
   /// load() on a file; errors also name the file.
   static Trace load_file(const std::string& path);
 
  private:
-  /// Transaction: references refs_[first, first + count).
+  /// Transaction: references [first, first + count) of the store.
   struct Txn {
     std::uint64_t first = 0;
     std::uint32_t count = 0;
     std::int32_t type = 0;
   };
+  /// A range-checked reference packed with `partition_bits` for the
+  /// partition: page above partition above the write flag.
+  static std::uint64_t pack(std::uint64_t partition, std::uint64_t page,
+                            bool write, unsigned partition_bits) {
+    return (page << (partition_bits + 1)) | (partition << 1) |
+           static_cast<std::uint64_t>(write);
+  }
+  /// Reference i of the store: the one decoder of the packed format.
+  PageRef ref(std::uint64_t i) const;
+  /// add_ref's checks, and the widening and growth a reference needs.
+  void make_room(std::int64_t partition, std::int64_t page);
+  /// Makes room for `partition` and `page` (and every partition below
+  /// num_files): widens the fields that need it, repacking any stored
+  /// references, and does nothing when both fit.
+  void widen(std::int64_t partition, std::int64_t page);
+  /// Rewrites the stored references at `width` bits with `partition_bits`
+  /// for the partition; the members still describe the old layout.
+  void repack(unsigned width, unsigned partition_bits);
+  /// Moves the store into a buffer of `words` words.
+  void grow(std::size_t words);
+
   std::vector<Txn> txns_;
-  std::vector<std::uint64_t> refs_;
+  /// References at `width_` bits each (pack()), reference i at bit
+  /// i * width_. The words up to the one holding the end bit are zero from
+  /// it on, and the word after each reference's first word is written, so
+  /// a reference is read with two loads.
+  std::unique_ptr<std::uint64_t[]> words_;
+  std::size_t capacity_ = 0;  ///< words in words_
+  std::uint64_t refs_ = 0;    ///< references stored
+  unsigned partition_bits_ = 0;
+  unsigned page_bits_ = 0;
+  unsigned width_ = 0;  ///< 1 + partition_bits_ + page_bits_; 0 before widen
 
   friend TraceStats compute_stats(const Trace& t);
   friend TraceProfile profile_trace(const Trace& t);

@@ -81,12 +81,14 @@ Trace generate_synthetic_trace(const SyntheticTraceConfig& cfg,
     --assigned;
   }
 
-  // Size the store once: the expected reference count plus 10 %.
+  // Size the store once, at its final width: the expected reference count
+  // plus 10 %, with pages below the largest file's size.
   double expected_refs = 0.0;
   for (std::size_t ty = 0; ty < kTypes.size(); ++ty) {
     expected_refs += static_cast<double>(counts[ty]) * kTypes[ty].mean_refs;
   }
-  tr.reserve(assigned, static_cast<std::size_t>(expected_refs * 1.1));
+  tr.reserve(assigned, static_cast<std::size_t>(expected_refs * 1.1),
+             *std::max_element(kFilePages.begin(), kFilePages.end()) - 1);
 
   for (std::size_t ty = 0; ty < kTypes.size(); ++ty) {
     const TypeShape& s = kTypes[ty];

@@ -24,11 +24,13 @@
 
 namespace {
 std::uint64_t g_allocs = 0;
+std::uint64_t g_bytes = 0;  ///< bytes asked of operator new
 }  // namespace
 
 // The array and nothrow forms forward to these in libstdc++.
 void* operator new(std::size_t n) {
   ++g_allocs;
+  g_bytes += n;
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
@@ -114,18 +116,26 @@ TEST(AllocGate, GemTraceCellStaysWithinBudget) {
 TEST(AllocGate, StandardTraceIsBuiltWithoutRegrowth) {
   // The generator sizes the trace store once (Trace::reserve), so a build
   // allocates the 13 Zipf tables (two vectors each), their vector, the type
-  // counts and the store's two vectors: measured 30 at both seeds, and 65
-  // while the store regrew.
+  // counts, the transaction records and the packed references: measured 30
+  // at both seeds, and 65 while the store regrew. The store is reserved at
+  // its own width, 19 bits for each of the 1.15 M references it expects
+  // (the expected count plus 10 %): measured 3,876,504 bytes at both seeds,
+  // and 10,317,680 at 8 bytes per reference.
   for (const std::uint64_t seed : {1u, 7u}) {
     sim::Rng rng(seed);
     const std::uint64_t allocs0 = g_allocs;
+    const std::uint64_t bytes0 = g_bytes;
     const workload::Trace trace = workload::generate_synthetic_trace(
         workload::SyntheticTraceConfig{}, rng);
     const std::uint64_t allocs = g_allocs - allocs0;
+    const std::uint64_t bytes = g_bytes - bytes0;
     EXPECT_GT(trace.references(), 1000000u) << "seed " << seed;
     EXPECT_LE(allocs, 34u) << "seed " << seed;
+    EXPECT_LE(bytes, 4460000u) << "seed " << seed;
     ::testing::Test::RecordProperty("allocs_seed_" + std::to_string(seed),
                                     std::to_string(allocs));
+    ::testing::Test::RecordProperty("bytes_seed_" + std::to_string(seed),
+                                    std::to_string(bytes));
   }
 }
 

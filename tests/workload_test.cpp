@@ -5,6 +5,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/config.hpp"
 #include "workload/debit_credit.hpp"
@@ -133,6 +134,59 @@ TEST(Trace, SaveLoadRoundTrip) {
   EXPECT_EQ(back.txn(1).type, 1);
 }
 
+TEST(Trace, PackedStoreWidensInPlace) {
+  // Each page (and, with one file at first, the partition) needs more bits
+  // than the references before it, so every stored reference is repacked
+  // several times, up to the full 64 bits (16 + 47 + 1).
+  for (const int files_first : {1, Trace::kMaxFiles}) {
+    SCOPED_TRACE("files first " + std::to_string(files_first));
+    Trace tr;
+    tr.num_types = 2;
+    tr.num_files = files_first;
+    std::vector<std::vector<PageRef>> added;
+    const auto check_all = [&] {
+      std::size_t refs = 0;
+      ASSERT_EQ(tr.size(), added.size());
+      for (std::size_t i = 0; i < added.size(); ++i) {
+        const TxnSpec t = tr.txn(i);
+        EXPECT_EQ(t.type, static_cast<int>(i % 2));
+        ASSERT_EQ(t.refs.size(), added[i].size()) << "txn " << i;
+        for (std::size_t k = 0; k < t.refs.size(); ++k) {
+          EXPECT_EQ(t.refs[k].page, added[i][k].page) << i << "/" << k;
+          EXPECT_EQ(t.refs[k].write, added[i][k].write) << i << "/" << k;
+        }
+        refs += added[i].size();
+      }
+      EXPECT_EQ(tr.references(), refs);
+    };
+    for (const PartitionId partition : {0, Trace::kMaxFiles - 1}) {
+      if (partition > 0) tr.num_files = Trace::kMaxFiles;
+      for (const std::int64_t page :
+           {std::int64_t{0}, std::int64_t{1}, std::int64_t{1} << 13,
+            Trace::kMaxPage}) {
+        for (const bool write : {false, true}) {
+          // Three references per transaction, so transactions straddle
+          // the widenings.
+          if (added.empty() || added.back().size() == 3) {
+            tr.add_txn(static_cast<std::int64_t>(added.size() % 2));
+            added.emplace_back();
+          }
+          tr.add_ref(partition, page, write);
+          added.back().push_back(PageRef{PageId{partition, page}, write});
+          check_all();
+        }
+      }
+    }
+    EXPECT_EQ(tr.references(), 16u);
+    std::stringstream first;
+    tr.save(first);
+    const Trace back = Trace::load(first);
+    std::stringstream second;
+    back.save(second);
+    EXPECT_EQ(second.str(), first.str());
+  }
+}
+
 TEST(Trace, LoadRejectsGarbage) {
   std::stringstream ss("not-a-trace 9");
   EXPECT_THROW(Trace::load(ss), std::runtime_error);
@@ -201,6 +255,16 @@ TEST(Trace, LoadRejectsMalformedLines) {
             "trace line 3: files 0 outside [1, 65536]");
   EXPECT_EQ(load_error("gemsd-trace 1\ntypes 1\nfiles 65537\nt 0 0\n"),
             "trace line 3: files 65537 outside [1, 65536]");
+  // Per-type tables: one statistic per type, one count per type and file.
+  EXPECT_EQ(load_error("gemsd-trace 1\ntypes 65537\nfiles 1\nt 0 0\n"),
+            "trace line 2: types 65537 outside [1, 65536]");
+  EXPECT_EQ(load_error("gemsd-trace 1\ntypes 65536\nfiles 65536\nt 0 1\n"
+                       "r 0 3\n"),
+            "trace line 3: files 65536 with types 65536: 4294967296 "
+            "type-file cells, more than 16777216");
+  EXPECT_EQ(load_error("gemsd-trace 1\ntypes 4096\nfiles 4096\nt 0 1\n"
+                       "r 0 3\n"),
+            "loaded");
   EXPECT_EQ(load_error("gemsd-trace 1\ntypes 1\n"),
             "trace line 3: end of file in the header");
   EXPECT_EQ(load_error(kHeader),
