@@ -16,7 +16,7 @@ namespace gemsd::cc {
 ///   * PCL's global lock authorities: the shipped GLA maps
 ///     (DebitCreditGlaMap, KeyGlaMap, ModGla) are block policies over a node
 ///     count — `blocked(nodes, keys_per_block)` reproduces them exactly, so
-///     both coupling modes share one routing/repartitioning layer.
+///     both coupling modes share one routing layer.
 ///
 /// Routing is a pure function of (policy, shard count, PageId/key): no
 /// simulation state, no randomness — the same reference stream routes the
@@ -31,8 +31,8 @@ class ShardMap {
   };
 
   /// Hash policy over full page identity (GLT sharding default): adjacent
-  /// pages land on different shards, so a drifting hotspot cannot camp on
-  /// one lock server.
+  /// pages land on different shards, so a run of hot adjacent pages cannot
+  /// camp on one lock server.
   static ShardMap hashed(int shards) {
     return ShardMap(Policy::Hashed, shards, 1);
   }
@@ -72,21 +72,6 @@ class ShardMap {
 
   int shards() const { return shards_; }
   Policy policy() const { return policy_; }
-  std::int64_t keys_per_block() const { return keys_per_block_; }
-
-  /// Fraction of `pages` consecutive page numbers (partition 0) whose shard
-  /// changes when repartitioning from `from` to `to` — the coordination cost
-  /// of growing/shrinking the authority fleet.
-  static double moved_fraction(const ShardMap& from, const ShardMap& to,
-                               std::int64_t pages) {
-    if (pages <= 0) return 0.0;
-    std::int64_t moved = 0;
-    for (std::int64_t i = 0; i < pages; ++i) {
-      const PageId p{0, i};
-      if (from.shard_of(p) != to.shard_of(p)) ++moved;
-    }
-    return static_cast<double>(moved) / static_cast<double>(pages);
-  }
 
  private:
   ShardMap(Policy policy, int shards, std::int64_t keys_per_block);

@@ -375,8 +375,9 @@ void results_json(obs::JsonWriter& w, const std::string& bench,
   w.kv("caption", caption);
   w.kv("git", obs::build_git_describe());
   // Process footprint at emission time: the peak covers every run in the
-  // file, which is what scale-out memory budgets gate on. Best-effort zeros
-  // off Linux; wall-clock-side only, so metrics stay bit-identical.
+  // file, which is what `gemsd_analyze --memory-budget` gates on.
+  // Best-effort zeros off Linux; wall-clock-side only, so metrics stay
+  // bit-identical.
   const obs::MemoryUsage mem = obs::memory_usage();
   w.key("memory");
   w.begin_object();

@@ -4,7 +4,6 @@
 // retired bench_*.cpp mains produced. Every --quick run's config hash and
 // result digest is pinned in results/LEDGER.tsv (tests/ledger_test.cpp), so
 // an edit here that moves any run shows up as a ledger diff.
-#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -12,10 +11,7 @@
 #include "cc/lock_engine_protocol.hpp"
 #include "cc/shard_map.hpp"
 #include "core/scenario.hpp"
-#include "core/sweep.hpp"
 #include "core/system.hpp"
-#include "obs/memory.hpp"
-#include "workload/scale_out.hpp"
 #include "workload/workload.hpp"
 
 namespace gemsd {
@@ -46,6 +42,17 @@ Dim coupling_dim() {
                [](SystemConfig& c) { c.coupling = Coupling::GemLocking; }},
               {"PCL",
                [](SystemConfig& c) { c.coupling = Coupling::PrimaryCopy; }}}};
+}
+
+Dim shards_dim(std::vector<int> counts) {
+  Dim d{"gem_shards", {}};
+  for (int m : counts) {
+    DimValue v;
+    v.label = "shards=" + std::to_string(m);
+    v.apply = [m](SystemConfig& c) { c.gem.shards = m; };
+    d.values.push_back(std::move(v));
+  }
+  return d;
 }
 
 // ---------------------------------------------------------------------------
@@ -91,105 +98,6 @@ void run_update_lock_cell(const SystemConfig& cfg, bool intent, int hot_pages,
   b.extra.push_back(
       {"deadlocks", static_cast<double>(sys.metrics().deadlocks.value())});
   b.extra.push_back({"drain_ms", sys.scheduler().now() * 1e3});
-}
-
-// ---------------------------------------------------------------------------
-// Sharded-GLT instrumentation shared by the scale_out family and shards_glt:
-// queueing on the GEM lock/coherency servers, aggregated over every shard,
-// plus the process memory footprint the scale-out budget gates on.
-
-void push_shard_extras(System& sys, BenchRun& b) {
-  auto& st = sys.storage();
-  double queue = 0, wait_sum = 0;
-  std::uint64_t waits = 0;
-  for (int s = 0; s < st.gem_shards(); ++s) {
-    const sim::Resource& r = st.gem(s).server();
-    queue += r.mean_queue_length();
-    wait_sum +=
-        r.wait_stat().mean() * static_cast<double>(r.wait_stat().count());
-    waits += r.wait_stat().count();
-  }
-  b.extra.push_back({"gem_shards", static_cast<double>(st.gem_shards())});
-  b.extra.push_back({"glt_queue_mean", queue});
-  b.extra.push_back(
-      {"glt_wait_us",
-       waits ? wait_sum / static_cast<double>(waits) * 1e6 : 0.0});
-  b.extra.push_back(
-      {"peak_rss_mb",
-       static_cast<double>(obs::peak_rss_bytes()) / (1024.0 * 1024.0)});
-}
-
-void run_scale_out_cell(const SystemConfig& cfg, BenchRun& b) {
-  const workload::ScaleOutSpec spec;  // family defaults; knobs in the header
-  auto bundle = workload::make_scale_out_workload(cfg, spec);
-  System::Workload wl;
-  wl.gen = std::move(bundle.gen);
-  wl.router = std::move(bundle.router);
-  wl.gla = std::move(bundle.gla);
-  wl.arrival_factor = std::move(bundle.arrival_factor);
-  System sys(cfg, std::move(wl));
-  b.result = sys.run();
-  push_shard_extras(sys, b);
-}
-
-/// The rss[MB] column is the process high-water mark when a cell finished,
-/// so it is shown only when the cells ran one at a time.
-void print_shard_table(const ScenarioResult& res, const BenchOptions& opt,
-                       const char* title) {
-  const bool one_at_a_time =
-      res.runs.size() == 1 || SweepRunner(opt.jobs).jobs() == 1;
-  std::printf("\n== %s ==\n", title);
-  std::printf("%4s %7s | %9s %9s %9s %9s %9s %9s\n", "N", "shards",
-              "resp[ms]", "tput", "gemUtil", "gltQueue", "wait[us]",
-              "rss[MB]");
-  for (const BenchRun& b : res.runs) {
-    const RunResult& r = b.result;
-    std::printf("%4d %7.0f | %9.2f %9.1f %8.2f%% %9.3f %9.2f ", r.nodes,
-                extra_of(b, "gem_shards"), r.resp_ms, r.throughput,
-                r.gem_util * 100, extra_of(b, "glt_queue_mean"),
-                extra_of(b, "glt_wait_us"));
-    if (one_at_a_time) {
-      std::printf("%9.0f\n", extra_of(b, "peak_rss_mb"));
-    } else {
-      std::printf("%9s\n", "-");
-    }
-  }
-  if (!one_at_a_time) {
-    std::printf("rss[MB] is the process peak, shared by concurrent cells: "
-                "run with --jobs=1 to see it per cell.\n");
-  }
-}
-
-/// Node counts for the scale-out family. Deliberately NOT a node axis
-/// (DimValue::nodes): the CLI's --max-nodes cap defaults to 10 and would
-/// silently drop every cell of a scenario whose whole point is 64-512 nodes.
-/// The GLT shard count grows with the cluster (n/16, at least 4): a fixed
-/// shard fleet saturates on page traffic around 200 nodes — scaling the
-/// authority with the cluster is the point of the sharded core.
-Dim scale_nodes_dim(std::vector<int> ns) {
-  Dim d{"nodes", {}};
-  for (int n : ns) {
-    const int shards = std::max(4, n / 16);
-    DimValue v;
-    v.label = "n=" + std::to_string(n) + ",shards=" + std::to_string(shards);
-    v.apply = [n, shards](SystemConfig& c) {
-      c.nodes = n;
-      c.gem.shards = shards;
-    };
-    d.values.push_back(std::move(v));
-  }
-  return d;
-}
-
-Dim shards_dim(std::vector<int> counts) {
-  Dim d{"gem_shards", {}};
-  for (int m : counts) {
-    DimValue v;
-    v.label = "shards=" + std::to_string(m);
-    v.apply = [m](SystemConfig& c) { c.gem.shards = m; };
-    d.values.push_back(std::move(v));
-  }
-  return d;
 }
 
 // ---------------------------------------------------------------------------
@@ -1069,60 +977,6 @@ std::vector<Scenario> build_registry() {
 
   {
     Scenario sc;
-    sc.name = "scale_out";
-    sc.caption =
-        "Scale-out: sharded GLT, 64-512 nodes, diurnal load, drifting "
-        "hotspot (>= 1M commits at N=256)";
-    sc.doc = "The scale_out workload family on the sharded coupling core: "
-             "GEM-resident DATA, gem_shards=4, diurnal arrival curve and a "
-             "time-drifting Zipf hotspot; reports GLT queueing and peak RSS.";
-    sc.base = [] { return workload::make_scale_out_config(1); };
-    sc.tweak = [](SystemConfig& c) {
-      c.warmup = 2.0;
-      c.measure = 45.0;  // 256 nodes x 100 TPS x 45 s > 1.15M commits
-    };
-    sc.dims = {scale_nodes_dim({64, 256, 512})};
-    sc.cell = [](const SystemConfig& cfg, BenchRun& b) {
-      run_scale_out_cell(cfg, b);
-    };
-    sc.table = [](const ScenarioResult& res, const BenchOptions& opt) {
-      print_shard_table(res, opt,
-                        "Scale-out: sharded GLT, 64-512 nodes, diurnal load, "
-                        "drifting hotspot");
-    };
-    sc.note =
-        "Expected shape: commits scale linearly with N while peak RSS stays "
-        "well under the 2 GB budget (streaming aggregates, lazy per-node "
-        "state); the drifting hotspot sweeps load across nodes and GLT "
-        "shards without queueing collapse.";
-    reg.push_back(std::move(sc));
-  }
-
-  {
-    Scenario sc;
-    sc.name = "scale_out_smoke";
-    sc.caption =
-        "Scale-out smoke: 64 nodes, shrunk horizon (CI memory-budget gate)";
-    sc.doc = "Shrunk scale_out cell (64 nodes, 2 s measured) for CI: must "
-             "stay within the committed peak-RSS budget "
-             "(gemsd_analyze --memory-budget).";
-    sc.base = [] { return workload::make_scale_out_config(1); };
-    sc.tweak = [](SystemConfig& c) {
-      c.warmup = 0.5;
-      c.measure = 2.0;
-    };
-    sc.dims = {scale_nodes_dim({64})};
-    sc.cell = [](const SystemConfig& cfg, BenchRun& b) {
-      run_scale_out_cell(cfg, b);
-    };
-    sc.table = [](const ScenarioResult& res, const BenchOptions& opt) {
-      print_shard_table(res, opt, "Scale-out smoke (64 nodes, CI gate)");
-    };
-    reg.push_back(std::move(sc));
-  }
-
-  {
-    Scenario sc;
     sc.name = "shards_glt";
     sc.caption =
         "Sharded GLT: gem_shards 1-8 on a GLT-bound configuration "
@@ -1138,10 +992,36 @@ std::vector<Scenario> build_registry() {
       c.gem.entry_access = 100e-6;  // [Yu87]-class lock op cost: GLT-bound
     };
     sc.dims = {node_dim({10}, /*clamp=*/true), shards_dim({1, 2, 4, 8})};
-    sc.probe = [](System& sys, BenchRun& b) { push_shard_extras(sys, b); };
-    sc.table = [](const ScenarioResult& res, const BenchOptions& opt) {
-      print_shard_table(res, opt,
-                        "Sharded GLT: gem_shards 1-8, GLT-bound debit-credit");
+    // Queueing on the GEM lock/coherency servers, summed over every shard.
+    sc.probe = [](System& sys, BenchRun& b) {
+      auto& st = sys.storage();
+      double queue = 0, wait_sum = 0;
+      std::uint64_t waits = 0;
+      for (int s = 0; s < st.gem_shards(); ++s) {
+        const sim::Resource& r = st.gem(s).server();
+        queue += r.mean_queue_length();
+        wait_sum +=
+            r.wait_stat().mean() * static_cast<double>(r.wait_stat().count());
+        waits += r.wait_stat().count();
+      }
+      b.extra.push_back({"gem_shards", static_cast<double>(st.gem_shards())});
+      b.extra.push_back({"glt_queue_mean", queue});
+      b.extra.push_back(
+          {"glt_wait_us",
+           waits ? wait_sum / static_cast<double>(waits) * 1e6 : 0.0});
+    };
+    sc.table = [](const ScenarioResult& res, const BenchOptions&) {
+      std::printf("\n== Sharded GLT: gem_shards 1-8, GLT-bound "
+                  "debit-credit ==\n");
+      std::printf("%4s %7s | %9s %9s %9s %9s %9s\n", "N", "shards",
+                  "resp[ms]", "tput", "gemUtil", "gltQueue", "wait[us]");
+      for (const BenchRun& b : res.runs) {
+        const RunResult& r = b.result;
+        std::printf("%4d %7.0f | %9.2f %9.1f %8.2f%% %9.3f %9.2f\n", r.nodes,
+                    extra_of(b, "gem_shards"), r.resp_ms, r.throughput,
+                    r.gem_util * 100, extra_of(b, "glt_queue_mean"),
+                    extra_of(b, "glt_wait_us"));
+      }
     };
     sc.note =
         "Expected shape: with one shard the 100 us entries queue heavily "

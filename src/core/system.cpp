@@ -157,7 +157,7 @@ System::System(const SystemConfig& cfg, Workload wl)
     });
     // Per-station series (bounded: shards + partitions + 2, never per-node):
     // the per-window utilization of each station is what shows a bottleneck
-    // migrating — e.g. network vs GEM under scale_out's diurnal curve.
+    // migrating from one station to another within a run.
     double cpus = 0, gems = 0, net = 0, disks = 0, logs = 0;
     std::vector<obs::TsStation> stations;
     for_each_station([&](const Station& st) {
@@ -253,14 +253,7 @@ System::~System() = default;
 sim::Task<void> System::source() {
   const double rate = cfg_.arrival_rate_per_node * cfg_.nodes;
   for (;;) {
-    // Optional diurnal modulation (scale_out): a non-homogeneous Poisson
-    // stream via per-arrival thinning of the mean inter-arrival time. The
-    // unset default keeps the draw expression — and its bytes — unchanged.
-    const double mean_gap =
-        wl_.arrival_factor
-            ? 1.0 / (rate * std::max(wl_.arrival_factor(sched_.now()), 1e-9))
-            : 1.0 / rate;
-    co_await sched_.delay(rng_.exponential(mean_gap));
+    co_await sched_.delay(rng_.exponential(1.0 / rate));
     auto spec = wl_.gen->next(rng_);
     NodeId n = wl_.router->route(spec, rng_);
     // Route around crashed nodes (simple successor fallback).

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -42,10 +41,6 @@ class System {
     std::unique_ptr<workload::WorkloadGenerator> gen;
     std::unique_ptr<workload::Router> router;
     std::unique_ptr<workload::GlaMap> gla;  ///< required for PCL
-    /// Optional arrival-rate modulation (scale_out's diurnal curve): the
-    /// SOURCE multiplies the configured rate by factor(now). Unset (the
-    /// default) keeps the constant-rate arrival stream byte-identical.
-    std::function<double(sim::SimTime)> arrival_factor;
   };
 
   /// Throws one std::invalid_argument naming every key that validate()

@@ -59,8 +59,8 @@ struct TsSketch {
 
 /// One named station tracked per window (additive v1 extension): busy
 /// server-seconds per window divided by capacity·width gives the per-window
-/// utilization, which is what shows a bottleneck migrating between stations
-/// (e.g. network vs GEM under a diurnal arrival curve).
+/// utilization, which is what shows a bottleneck migrating between
+/// stations.
 struct TsStation {
   std::string name;      ///< resource-snapshot naming (gem.shard0, net, ...)
   double capacity = 0;   ///< servers

@@ -78,9 +78,6 @@ TEST(Ledger, MatchesCommittedLedger) {
                 opt.warmup, opt.measure, opt.seed);
   std::string fresh = header;
   for (const Scenario& sc : scenario_registry()) {
-    // Its cells set their own 45 s horizon at 64-512 nodes, so --quick does
-    // not shorten them (about two minutes).
-    if (sc.name == "scale_out") continue;
     const ScenarioResult res = run_scenario(sc, opt);
     for (std::size_t i = 0; i < res.runs.size(); ++i) {
       const BenchRun& run = res.runs[i];

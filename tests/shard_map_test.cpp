@@ -5,14 +5,11 @@
 // property (everything maps to shard 0).
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <set>
 #include <vector>
 
 #include "cc/shard_map.hpp"
-#include "sim/random.hpp"
 #include "workload/debit_credit.hpp"
-#include "workload/scale_out.hpp"
 
 namespace gemsd {
 namespace {
@@ -63,7 +60,7 @@ TEST(ShardMap, AllShardsReachableUnderBothPolicies) {
 }
 
 // The hashed policy must actually spread adjacent pages: a contiguous page
-// run (the drifting-hotspot shape) may not land >50% on any one shard.
+// run may not land >50% on any one shard.
 TEST(ShardMap, HashedSpreadsContiguousPages) {
   const int shards = 4;
   const ShardMap map = ShardMap::hashed(shards);
@@ -109,115 +106,6 @@ TEST(ShardMap, DebitCreditGlaFollowsBranchBlocks) {
     EXPECT_EQ(gla.gla(PageId{Ids::kAccount, first_acct_page}), want);
   }
   EXPECT_EQ(gla.gla(PageId{Ids::kHistory, 0}), 0);
-}
-
-// A blocked map over page numbers (scale_out's GLA) and the affinity router
-// over key blocks must agree: key k's transactions run on the node that owns
-// k's pages.
-TEST(ShardMap, ScaleOutRouterAndGlaAgreeOnOwnership) {
-  const int nodes = 8;
-  const workload::ScaleOutSpec spec;
-  workload::ShardMapRouter router(
-      ShardMap::blocked(nodes, spec.keys_per_node));
-  const workload::ShardMapGlaMap gla(
-      ShardMap::blocked(nodes, spec.keys_per_node * spec.pages_per_key));
-  sim::Rng rng(1);
-  for (std::int64_t key = 0; key < spec.keys_per_node * nodes; key += 3) {
-    workload::TxnSpec t;
-    t.affinity_key = key;
-    const NodeId home = router.route(t, rng);
-    for (std::int64_t i = 0; i < spec.pages_per_key; ++i) {
-      const std::int64_t page = key * spec.pages_per_key + i;
-      EXPECT_EQ(gla.gla(PageId{workload::ScaleOutIds::kData, page}), home);
-    }
-  }
-}
-
-// --- repartitioning cost ---------------------------------------------------
-
-TEST(ShardMap, MovedFractionIsZeroForIdenticalMaps) {
-  EXPECT_DOUBLE_EQ(
-      ShardMap::moved_fraction(ShardMap::hashed(4), ShardMap::hashed(4), 512),
-      0.0);
-  EXPECT_DOUBLE_EQ(ShardMap::moved_fraction(ShardMap::blocked(1),
-                                            ShardMap::hashed(1), 512),
-                   0.0);  // one shard: nothing can move
-}
-
-// Doubling a modulo map moves exactly the pages whose residue changes:
-// page % 2 vs page % 4 differ iff page % 4 is 2 or 3 — half the pages.
-TEST(ShardMap, MovedFractionOfModuloDoublingIsHalf) {
-  EXPECT_DOUBLE_EQ(ShardMap::moved_fraction(ShardMap::blocked(2),
-                                            ShardMap::blocked(4), 1024),
-                   0.5);
-}
-
-// Hash repartitioning moves about (1 - 1/new) of the pages — the classic
-// argument for consistent hashing. We only pin the order of magnitude.
-TEST(ShardMap, MovedFractionOfHashDoublingIsLarge) {
-  const double f = ShardMap::moved_fraction(ShardMap::hashed(2),
-                                            ShardMap::hashed(4), 4096);
-  EXPECT_GT(f, 0.3);
-  EXPECT_LT(f, 0.7);
-}
-
-// --- scale_out generator determinism --------------------------------------
-
-// The generator's stream is a pure function of (spec, nodes, rng state):
-// two generators fed identical Rngs emit identical transactions, including
-// the drift offset (keyed on the generator's own counter, not on time).
-TEST(ScaleOutGenerator, StreamIsDeterministic) {
-  const int nodes = 16;
-  workload::ScaleOutGenerator a({}, nodes), b({}, nodes);
-  sim::Rng ra(99), rb(99);
-  for (int i = 0; i < 2000; ++i) {
-    const workload::TxnSpec x = a.next(ra);
-    const workload::TxnSpec y = b.next(rb);
-    ASSERT_EQ(x.affinity_key, y.affinity_key) << "txn " << i;
-    ASSERT_EQ(x.refs.size(), y.refs.size()) << "txn " << i;
-    for (std::size_t r = 0; r < x.refs.size(); ++r) {
-      ASSERT_EQ(x.refs[r].page.page, y.refs[r].page.page);
-      ASSERT_EQ(x.refs[r].write, y.refs[r].write);
-    }
-  }
-  EXPECT_EQ(a.hot_key_offset(), b.hot_key_offset());
-}
-
-// The hotspot drifts: after drift_every_txns transactions the offset has
-// advanced by one key, and it wraps modulo the key count.
-TEST(ScaleOutGenerator, HotspotDriftsOneKeyPerInterval) {
-  workload::ScaleOutSpec spec;
-  spec.drift_every_txns = 50;
-  const int nodes = 2;
-  workload::ScaleOutGenerator gen(spec, nodes);
-  sim::Rng rng(5);
-  EXPECT_EQ(gen.hot_key_offset(), 0);
-  for (int i = 0; i < 50; ++i) gen.next(rng);
-  EXPECT_EQ(gen.hot_key_offset(), 1);
-  for (int i = 0; i < 100; ++i) gen.next(rng);
-  EXPECT_EQ(gen.hot_key_offset(), 3);
-}
-
-// Every generated page must live inside the DATA partition the config
-// declares, at any node count (the stride-scatter must not escape range).
-TEST(ScaleOutGenerator, PagesStayInsideTheDeclaredPartition) {
-  for (const int nodes : {1, 3, 64}) {
-    const workload::ScaleOutSpec spec;
-    const std::int64_t pages =
-        spec.keys_per_node * spec.pages_per_key * nodes;
-    workload::ScaleOutGenerator gen(spec, nodes);
-    sim::Rng rng(7);
-    for (int i = 0; i < 1000; ++i) {
-      const workload::TxnSpec t = gen.next(rng);
-      ASSERT_GE(t.affinity_key, 0);
-      ASSERT_LT(t.affinity_key, gen.total_keys());
-      for (const auto& ref : t.refs) {
-        ASSERT_EQ(ref.page.partition, workload::ScaleOutIds::kData);
-        ASSERT_GE(ref.page.page, 0);
-        ASSERT_LT(ref.page.page, pages);
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Sharded-GLT tests: the shard oracle gate (gem_shards=1 must be
 // bit-identical to the unsharded baselines — on the pinned regression
-// goldens and on every shipped spec), a repeatable scale_out cell, and the
-// queueing claim the shards exist for: on a GLT-bound configuration, four
-// shards beat one. Equality is == / DOUBLE_EQ throughout — shard routing is
-// a pure function of the page id, so any divergence is a bug, not noise.
+// goldens and on every shipped spec) and the queueing claim the shards exist
+// for: on a GLT-bound configuration, four shards beat one. Equality is == /
+// DOUBLE_EQ throughout — shard routing is a pure function of the page id, so
+// any divergence is a bug, not noise.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -13,8 +13,6 @@
 
 #include "core/config_file.hpp"
 #include "core/experiment.hpp"
-#include "core/system.hpp"
-#include "workload/scale_out.hpp"
 #include "workload/trace_generator.hpp"
 
 #ifndef GEMSD_SOURCE_DIR
@@ -154,36 +152,6 @@ TEST(ShardOracleGate, EveryShippedSpecUnchangedByForcedShardsOne) {
     }
   }
   EXPECT_GE(files, 19) << "shipped spec corpus shrank?";
-}
-
-// --- scale_out cell ---------------------------------------------------------
-
-// The scale_out cell (drifting hotspot, diurnal curve, ShardMap router/GLA)
-// at a test-sized node count: it commits, and two runs agree exactly — the
-// diurnal factor and the hotspot drift are pure functions of simulated time
-// and the generator's own counter.
-TEST(ShardedGlt, ScaleOutCellIsRepeatable) {
-  auto run_cell = [] {
-    SystemConfig cfg = workload::make_scale_out_config(8);
-    cfg.warmup = 0.5;
-    cfg.measure = 2.0;
-    cfg.gem.shards = 4;
-    auto bundle = workload::make_scale_out_workload(cfg, {});
-    System::Workload wl;
-    wl.gen = std::move(bundle.gen);
-    wl.router = std::move(bundle.router);
-    wl.gla = std::move(bundle.gla);
-    wl.arrival_factor = std::move(bundle.arrival_factor);
-    System sys(cfg, std::move(wl));
-    return sys.run();
-  };
-  const RunResult a = run_cell();
-  const RunResult b = run_cell();
-  EXPECT_GT(a.commits, 0u);
-  EXPECT_EQ(a.commits, b.commits);
-  EXPECT_EQ(a.aborts, b.aborts);
-  EXPECT_DOUBLE_EQ(a.resp_ms, b.resp_ms);
-  EXPECT_DOUBLE_EQ(a.throughput, b.throughput);
 }
 
 // --- the point of the shards -----------------------------------------------

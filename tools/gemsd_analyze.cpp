@@ -32,8 +32,10 @@
 //   gemsd_analyze --memory-budget=BYTES <results.json>
 //       Memory gate over a "gemsd.results.v1" document's memory block
 //       (written by every bench): peak_rss_bytes above the budget exits 1 —
-//       the CI scale-out footprint gate. A document without a usable memory
-//       reading (pre-memory results, non-Linux writer) exits 2.
+//       the CI footprint gates (the fig_4_7 trace cell, and a 256-node
+//       debit-credit cell that keeps per-node state linear). A document
+//       without a usable memory reading (pre-memory results, non-Linux
+//       writer) exits 2.
 //
 //   gemsd_analyze --bottleneck[=FILE] [<resources.json>]
 //       Capacity analysis from a "gemsd.resources.v1" document (written by
