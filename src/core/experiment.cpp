@@ -1,5 +1,6 @@
 #include "core/experiment.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -7,6 +8,7 @@
 #include <functional>
 #include <regex>
 #include <stdexcept>
+#include <string_view>
 
 #include "core/parse_number.hpp"
 #include "obs/fingerprint.hpp"
@@ -167,8 +169,8 @@ std::string try_parse_bench_args(const std::vector<std::string>& args,
   return "";
 }
 
-std::string bench_usage() {
-  return
+std::string bench_usage(const std::vector<std::string>& omit) {
+  static const char kUsage[] =
       "  --quick            shorter measurement interval (CI-friendly):\n"
       "                     warmup 2 s, measure 6 s. Later flags win, so\n"
       "                     '--quick --warmup=5' restores the default cut\n"
@@ -201,6 +203,23 @@ std::string bench_usage() {
       "                     with gemsd_analyze --bottleneck)\n"
       "Each file is written to <file>.<pid>.tmp and renamed into place; a\n"
       "file that cannot be written exits 1.\n";
+  // An entry is a "  --flag..." line plus its deeper-indented continuation
+  // lines; entries whose flag is in `omit` are left out.
+  std::string out;
+  bool skip = false;
+  for (std::string_view rest = kUsage; !rest.empty();) {
+    const std::string_view line = rest.substr(0, rest.find('\n') + 1);
+    rest.remove_prefix(line.size());
+    if (line.starts_with("  --")) {
+      const std::string_view flag =
+          line.substr(2, line.find_first_of("=[ ", 2) - 2);
+      skip = std::find(omit.begin(), omit.end(), flag) != omit.end();
+    } else if (!line.starts_with("   ")) {
+      skip = false;
+    }
+    if (!skip) out += line;
+  }
+  return out;
 }
 
 BenchOptions parse_bench_args(int argc, char** argv) {

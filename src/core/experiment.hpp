@@ -89,8 +89,9 @@ struct BenchOptions {
 std::string try_parse_bench_args(const std::vector<std::string>& args,
                                  BenchOptions& o);
 
-/// One usage block listing every shared flag (callers prepend their own).
-std::string bench_usage();
+/// One usage block listing every shared flag (callers prepend their own),
+/// less the flags named in `omit` ("--measure", ...).
+std::string bench_usage(const std::vector<std::string>& omit = {});
 
 /// Strict wrapper: on any unknown flag or malformed value prints the error
 /// plus usage to stderr and exits with status 2 — a typo must never run a

@@ -582,9 +582,11 @@ std::vector<Scenario> build_registry() {
       }
     };
     sc.note =
-        "Expected shape: GEM messaging removes most of PCL's CPU "
-        "overhead and delay, landing between loose coupling and GEM "
-        "locking — the paper's Section 2 claim.";
+        "Expected shape: GEM messaging removes the network's CPU "
+        "overhead and delay from PCL; its response times match GEM "
+        "locking's (0.8 ms above at 2 nodes, below at 5 and 10), so "
+        "storage-based communication alone recovers the loose-coupling "
+        "penalty (Section 2).";
     reg.push_back(std::move(sc));
   }
 
@@ -693,7 +695,7 @@ std::vector<Scenario> build_registry() {
       }
     };
     sc.note =
-        "Expected shape: authorizations shift most of the ~58 GLT "
+        "Expected shape: authorizations shift most of the ~44 GLT "
         "lock operations per transaction to local processing, cutting "
         "GEM utilization; response times barely move (GLT access was "
         "already cheap) — confirming why the paper could afford to "
@@ -971,7 +973,9 @@ std::vector<Scenario> build_registry() {
         "Expected shape: without group commit the single log disk "
         "saturates between 150 and 200 TPS (response times explode, "
         "throughput caps); with it the batching factor rises with the "
-        "load and the commit path keeps scaling.";
+        "load and the commit path stays unsaturated through 200 TPS, but "
+        "at 300 TPS it saturates too (throughput caps below the offered "
+        "load).";
     reg.push_back(std::move(sc));
   }
 
@@ -1025,9 +1029,10 @@ std::vector<Scenario> build_registry() {
     };
     sc.note =
         "Expected shape: with one shard the 100 us entries queue heavily "
-        "(the [Yu87] saturation effect); each doubling of gem_shards cuts "
-        "the GLT wait roughly in half until the CPU or page path takes "
-        "over, while results stay bit-identical at shards=1.";
+        "(the [Yu87] saturation effect); the first doubling of gem_shards "
+        "cuts the GLT wait about fivefold and each later one by more than "
+        "half, until the CPU or page path takes over, while results stay "
+        "bit-identical at shards=1.";
     reg.push_back(std::move(sc));
   }
 

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <set>
 #include <utility>
 
 #include "obs/json.hpp"
@@ -109,6 +110,51 @@ void attribute_holder(const TxnData* holder, double x, double y, double scale,
   }
 }
 
+constexpr int kNodeShift = 40;  ///< txn id layout: (node << 40) | sequence
+
+/// Live wait-for edges: waiter -> the txns it waits on. Mirrors the lock
+/// table's waiting set as the trace replays.
+using WaitFor = std::map<std::uint64_t, std::vector<std::uint64_t>>;
+
+/// Does `start` reach itself through the live wait-for edges?
+bool closes_cycle(const WaitFor& out, std::uint64_t start) {
+  std::set<std::uint64_t> visited;
+  std::vector<std::uint64_t> stack;
+  auto it = out.find(start);
+  if (it == out.end()) return false;
+  stack.insert(stack.end(), it->second.begin(), it->second.end());
+  while (!stack.empty()) {
+    const std::uint64_t t = stack.back();
+    stack.pop_back();
+    if (t == start) return true;
+    if (!visited.insert(t).second) continue;
+    auto oi = out.find(t);
+    if (oi != out.end()) {
+      stack.insert(stack.end(), oi->second.begin(), oi->second.end());
+    }
+  }
+  return false;
+}
+
+/// A transaction's locks dropped (commit, restart, deadlock abort): it can no
+/// longer block anyone, and until it waits again it waits on nothing. Remove
+/// its out-edges AND every stale edge pointing to it — wait edges are
+/// snapshots of the queue at enqueue time, and a restarted transaction reuses
+/// its id, so leftover incoming edges would close cycles the simulator never
+/// saw.
+void retire_txn(WaitFor& out, std::uint64_t id) {
+  out.erase(id);
+  for (auto& [waiter, edges] : out) {
+    edges.erase(std::remove(edges.begin(), edges.end(), id), edges.end());
+  }
+}
+
+/// Is `f` a wait.edge of the same batch as `e` (same waiter, same time)?
+bool same_batch(const TraceEvent& f, const TraceEvent& e) {
+  return f.kind == TraceKind::Instant && f.name == TraceName::kWaitEdge &&
+         f.id == e.id && f.t == e.t;
+}
+
 void append(std::string& out, const char* fmt, ...)
     __attribute__((format(printf, 2, 3)));
 
@@ -149,16 +195,36 @@ CritPathAnalysis critical_path(const std::vector<TraceEvent>& events,
   a.events = events.size();
   a.events_dropped = dropped;
 
-  // ---- pass 1: bucket the stream per transaction / per node -------------
+  // ---- pass 1: bucket the stream per transaction / per node, and replay
+  // the phase totals, per-page waits and the wait-for graph --------------
   struct NodeMsgs {
     std::vector<std::pair<double, double>> iv;  ///< sorted by start
     double max_dur = 0;  ///< bounds the overlap-scan window
   };
   std::map<std::uint64_t, TxnData> txns;
   std::map<int, NodeMsgs> msgs;
-  for (const TraceEvent& e : events) {
+  std::map<std::pair<std::int32_t, std::int64_t>, HotPage> pages;
+  std::map<std::pair<int, int>, std::uint64_t> conflicts;
+  WaitFor wait_for;
+  constexpr auto kFirstPhase = static_cast<std::size_t>(TraceName::kPhaseCpu);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& e = events[i];
     switch (e.kind) {
+      case TraceKind::PhaseTotal:
+        if (const auto k = static_cast<std::size_t>(e.name) - kFirstPhase;
+            k < a.phase_s.size()) {
+          a.phase_s[k] += e.value;
+        }
+        break;
       case TraceKind::Span:
+        if (e.name == TraceName::kLockWait) {
+          HotPage& hp = pages[{e.aux, static_cast<std::int64_t>(e.value)}];
+          hp.partition = e.aux;
+          hp.page = static_cast<std::int64_t>(e.value);
+          ++hp.waits;
+          hp.wait_s += e.dur;
+          wait_for.erase(e.id);  // the wait ended in a grant
+        }
         if (e.name == TraceName::kMsgSend || e.name == TraceName::kMsgRecv) {
           if (e.node >= 0) {
             NodeMsgs& m = msgs[e.node];
@@ -177,28 +243,65 @@ CritPathAnalysis critical_path(const std::vector<TraceEvent>& events,
         }
         break;
       case TraceKind::Instant:
-        if (e.id == 0) break;
-        if (e.name == TraceName::kRestart) {
-          TxnData& d = txns[e.id];
-          d.restarts.push_back(e.t);
-          d.blockers.emplace_back(e.t, std::vector<std::uint64_t>{});
-        } else if (e.name == TraceName::kWaitEdge) {
-          auto& bl = txns[e.id].blockers;
-          const auto holder = static_cast<std::uint64_t>(e.value);
-          if (!bl.empty() && bl.back().first == e.t &&
-              !bl.back().second.empty()) {
-            bl.back().second.push_back(holder);  // same batch
-          } else {
-            bl.emplace_back(e.t, std::vector<std::uint64_t>{holder});
+        if (e.id == 0) break;  // transaction ids start at 1
+        switch (e.name) {
+          case TraceName::kWaitEdge: {
+            // One batch of consecutive instants (same waiter, same time
+            // stamp) is a full snapshot of that waiter's blocker set: the
+            // lock table re-emits a waiter's edges whenever its page's queue
+            // mutates, so a batch REPLACES whatever the waiter waited on
+            // before. The cycle check runs once, after the batch's last
+            // edge — exactly like the simulator's single check after
+            // enqueueing the waiter.
+            auto& edges = wait_for[e.id];
+            if (i == 0 || !same_batch(events[i - 1], e)) edges.clear();
+            const auto holder = static_cast<std::uint64_t>(e.value);
+            edges.push_back(holder);
+            ++a.wait_edges;
+            ++conflicts[{e.node, static_cast<int>(holder >> kNodeShift)}];
+            if ((i + 1 == events.size() || !same_batch(events[i + 1], e)) &&
+                closes_cycle(wait_for, e.id)) {
+              ++a.cycles;
+              wait_for.erase(e.id);  // the waiter is the victim
+            }
+            auto& bl = txns[e.id].blockers;
+            if (!bl.empty() && bl.back().first == e.t &&
+                !bl.back().second.empty()) {
+              bl.back().second.push_back(holder);  // same batch
+            } else {
+              bl.emplace_back(e.t, std::vector<std::uint64_t>{holder});
+            }
+            break;
           }
-        } else if (e.name == TraceName::kLockGrant ||
-                   e.name == TraceName::kDeadlock) {
-          txns[e.id].blockers.emplace_back(e.t,
-                                           std::vector<std::uint64_t>{});
+          case TraceName::kLockGrant:
+            // Granted at the logical grant instant (the kLockWait span
+            // records later, when the waiter's coroutine resumes).
+            wait_for.erase(e.id);
+            txns[e.id].blockers.emplace_back(e.t,
+                                             std::vector<std::uint64_t>{});
+            break;
+          case TraceName::kDeadlock:
+            ++a.deadlock_instants;
+            retire_txn(wait_for, e.id);
+            txns[e.id].blockers.emplace_back(e.t,
+                                             std::vector<std::uint64_t>{});
+            break;
+          case TraceName::kRestart: {
+            retire_txn(wait_for, e.id);
+            TxnData& d = txns[e.id];
+            d.restarts.push_back(e.t);
+            d.blockers.emplace_back(e.t, std::vector<std::uint64_t>{});
+            break;
+          }
+          case TraceName::kCommit:
+            retire_txn(wait_for, e.id);
+            break;
+          default:
+            break;
         }
         break;
       default:
-        break;  // counters, flows, phase totals are not path inputs
+        break;  // flows are not path inputs
     }
   }
   for (auto& [node, m] : msgs) {
@@ -435,6 +538,30 @@ CritPathAnalysis critical_path(const std::vector<TraceEvent>& events,
               }
               return x.partition < y.partition;
             });
+
+  a.hot_pages.reserve(pages.size());
+  for (const auto& [key, hp] : pages) {
+    (void)key;
+    a.hot_pages.push_back(hp);
+  }
+  std::sort(a.hot_pages.begin(), a.hot_pages.end(),
+            [](const HotPage& x, const HotPage& y) {
+              if (x.wait_s != y.wait_s) return x.wait_s > y.wait_s;
+              if (x.partition != y.partition) return x.partition < y.partition;
+              return x.page < y.page;
+            });
+  a.conflicts.reserve(conflicts.size());
+  for (const auto& [key, edges] : conflicts) {
+    a.conflicts.push_back(ConflictPair{key.first, key.second, edges});
+  }
+  std::sort(a.conflicts.begin(), a.conflicts.end(),
+            [](const ConflictPair& x, const ConflictPair& y) {
+              if (x.edges != y.edges) return x.edges > y.edges;
+              if (x.waiter_node != y.waiter_node) {
+                return x.waiter_node < y.waiter_node;
+              }
+              return x.holder_node < y.holder_node;
+            });
   return a;
 }
 
@@ -537,6 +664,33 @@ std::string format_critical_path(const CritPathAnalysis& a, int top_k) {
              pc.page_fetch_s, pc.io_s);
     }
   }
+
+  append(out, "\nhot pages (top %d by lock-wait time):\n", top_k);
+  const std::size_t np =
+      std::min(a.hot_pages.size(), static_cast<std::size_t>(top_k));
+  for (std::size_t i = 0; i < np; ++i) {
+    const HotPage& hp = a.hot_pages[i];
+    append(out, "  part %d page %lld: %llu waits, %.3f ms total\n",
+           hp.partition, static_cast<long long>(hp.page),
+           static_cast<unsigned long long>(hp.waits), hp.wait_s * 1e3);
+  }
+  if (a.hot_pages.empty()) append(out, "  (none)\n");
+
+  append(out, "lock-conflict pairs (waiter node -> holder node):\n");
+  const std::size_t nc =
+      std::min(a.conflicts.size(), static_cast<std::size_t>(top_k));
+  for (std::size_t i = 0; i < nc; ++i) {
+    const ConflictPair& c = a.conflicts[i];
+    append(out, "  %d -> %d: %llu edges\n", c.waiter_node, c.holder_node,
+           static_cast<unsigned long long>(c.edges));
+  }
+  if (a.conflicts.empty()) append(out, "  (none)\n");
+
+  append(out,
+         "wait-for graph: %llu edges, %llu cycles (deadlock events: %llu)\n",
+         static_cast<unsigned long long>(a.wait_edges),
+         static_cast<unsigned long long>(a.cycles),
+         static_cast<unsigned long long>(a.deadlock_instants));
   return out;
 }
 
@@ -635,6 +789,45 @@ std::string critical_path_json(const CritPathAnalysis& a) {
   w.end_array();
   w.end_object();
   return w.take();
+}
+
+Reconciliation reconcile(const CritPathAnalysis& a, const JsonValue& metrics,
+                         double tolerance) {
+  Reconciliation r;
+  const JsonValue* brk = metrics.find("breakdown_ms");
+  const double txns = a.txns > 0 ? static_cast<double>(a.txns)
+                                 : metrics.num_or("commits", 0.0);
+  const double per_txn_ms = txns > 0 ? 1e3 / txns : 0.0;
+
+  const char* const keys[] = {"cpu", "cpu_wait", "io", "cc", "queue"};
+  r.ok = true;
+  for (std::size_t k = 0; k < a.phase_s.size(); ++k) {
+    ReconcileLine line;
+    line.phase = keys[k];
+    line.trace_ms = a.phase_s[k] * per_txn_ms;
+    line.reported_ms = brk ? brk->num_or(keys[k], 0.0) : 0.0;
+    line.rel_err = std::abs(line.trace_ms - line.reported_ms) /
+                   std::max(std::abs(line.reported_ms), 1e-9);
+    // Phases that are essentially zero on both sides always reconcile (the
+    // relative error on a 1e-12 ms bucket is meaningless).
+    if (line.trace_ms < 1e-6 && line.reported_ms < 1e-6) line.rel_err = 0.0;
+    r.worst_rel_err = std::max(r.worst_rel_err, line.rel_err);
+    if (line.rel_err > tolerance) r.ok = false;
+    r.lines.push_back(line);
+  }
+  return r;
+}
+
+std::string format_reconciliation(const Reconciliation& r) {
+  std::string s;
+  append(s, "reconciliation (trace phase sums vs reported breakdown_ms):\n");
+  for (const ReconcileLine& l : r.lines) {
+    append(s, "  %-9s trace %10.4f ms  reported %10.4f ms  rel err %6.3f%%\n",
+           l.phase.c_str(), l.trace_ms, l.reported_ms, l.rel_err * 1e2);
+  }
+  append(s, "  worst relative error %.3f%% -> %s\n", r.worst_rel_err * 1e2,
+         r.ok ? "OK" : "MISMATCH");
+  return s;
 }
 
 }  // namespace gemsd::obs

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -8,14 +9,19 @@
 
 namespace gemsd::obs {
 
-/// Critical-path profiler (tools/gemsd_analyze --critical-path): replay a
-/// trace into per-transaction blocking chains and answer "where did the
-/// response time of the slow transactions actually go?". Unlike the phase
-/// buckets in analyze.hpp (which sum what each transaction *did*), the
-/// critical path classifies every second of wall response time — including
-/// lock waits resolved to what the *holder* was doing at that moment, message
-/// round trips, and restart backoff — so the per-class seconds of one
-/// transaction sum to its traced response time by construction.
+struct JsonValue;
+
+/// Trace replay (tools/gemsd_analyze): one pass over a trace answers "where
+/// did the response time of the slow transactions actually go?" and checks
+/// the trace against the simulator's own counters. The critical path
+/// classifies every second of each committed transaction's wall response
+/// time — including lock waits resolved to what the *holder* was doing at
+/// that moment, message round trips, and restart backoff — so the per-class
+/// seconds of one transaction sum to its traced response time by
+/// construction. The same pass sums the simulator's phase totals (reconciled
+/// against a results document's breakdown_ms), totals lock waits per page and
+/// wait edges per node pair, and replays the wait-for graph, whose cycle count
+/// cross-checks the deadlock counter.
 ///
 /// Everything here is deterministic: same events in, same bytes out, at any
 /// --jobs value (each simulation owns its recorder).
@@ -93,6 +99,22 @@ struct CohortCrit {
   CritBreakdown sum;
 };
 
+/// One contended page: how often and how long transactions blocked on it.
+struct HotPage {
+  std::int32_t partition = 0;
+  std::int64_t page = 0;
+  std::uint64_t waits = 0;
+  double wait_s = 0;
+};
+
+/// Wait-for edges aggregated by (waiter node, holder node) — the paper's
+/// local vs remote conflict signal.
+struct ConflictPair {
+  int waiter_node = -1;
+  int holder_node = -1;
+  std::uint64_t edges = 0;
+};
+
 struct CritPathAnalysis {
   std::uint64_t events = 0;
   std::uint64_t events_dropped = 0;
@@ -110,9 +132,26 @@ struct CritPathAnalysis {
   /// Per-txn reconciliation: |path.total_s() - response_s| / response_s.
   std::uint64_t txns_within_tol = 0;  ///< within 1%
   double worst_rel_err = 0;
+
+  /// The simulator's PhaseTotal records summed over the trace (cpu,
+  /// cpu_wait, io, cc, queue): the exact per-txn seconds that
+  /// Metrics::breakdown_* averages.
+  std::array<double, 5> phase_s{};
+
+  std::vector<HotPage> hot_pages;       ///< wait_s desc, then (part, page)
+  std::vector<ConflictPair> conflicts;  ///< edges desc, then pair
+
+  // Wait-for graph replay: wait.edge batches are applied in trace order,
+  // edges retire when their waiter is granted (lock.grant, lock.wait span),
+  // aborted (deadlock instant) or finishes (commit/restart); a cycle is
+  // counted when a batch closes one — the same check the simulator runs, so
+  // `cycles` cross-checks the deadlock counter.
+  std::uint64_t wait_edges = 0;
+  std::uint64_t cycles = 0;
+  std::uint64_t deadlock_instants = 0;  ///< kDeadlock events seen
 };
 
-/// Compute the critical-path profile of a trace (native snapshot() order or
+/// Replay a trace (record order, as TraceRecorder::take() returns it, or
 /// parse_chrome_trace output — message spans from an imported trace all carry
 /// kMsgSend and are treated uniformly). `dropped` is the ring's overwrite
 /// count; a nonzero value means early spans may be missing and their time
@@ -125,5 +164,26 @@ std::string format_critical_path(const CritPathAnalysis& a, int top_k = 10);
 
 /// "gemsd.critpath.v1" document (schemas/critpath.schema.json).
 std::string critical_path_json(const CritPathAnalysis& a);
+
+/// One phase bucket of the trace-vs-reported cross-check.
+struct ReconcileLine {
+  std::string phase;        ///< "cpu", "cpu_wait", "io", "cc", "queue"
+  double trace_ms = 0;      ///< per-txn mean from the trace's PhaseTotals
+  double reported_ms = 0;   ///< breakdown_ms from the results file
+  double rel_err = 0;       ///< |trace - reported| / max(reported, eps)
+};
+
+struct Reconciliation {
+  std::vector<ReconcileLine> lines;
+  double worst_rel_err = 0;
+  bool ok = false;  ///< every line within tolerance
+};
+
+/// Cross-check the summed phase totals against one run's "metrics" object
+/// from a gemsd.results.v1 document (per-txn means, breakdown_ms keys).
+Reconciliation reconcile(const CritPathAnalysis& a, const JsonValue& metrics,
+                         double tolerance = 0.01);
+
+std::string format_reconciliation(const Reconciliation& r);
 
 }  // namespace gemsd::obs

@@ -95,6 +95,11 @@ struct JsonValue {
     auto it = obj.find(k);
     return it == obj.end() ? nullptr : &it->second;
   }
+  /// The number at `k`, or `fallback` when it is missing or not a number.
+  double num_or(const std::string& k, double fallback) const {
+    const JsonValue* v = find(k);
+    return v && v->is_number() ? v->num : fallback;
+  }
 };
 
 /// Parse a complete JSON document. Returns false (and fills `error`) on

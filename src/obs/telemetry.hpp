@@ -116,4 +116,15 @@ std::string chrome_trace_json(
     const RunTelemetry& tel,
     const std::vector<std::pair<std::string, std::string>>& metadata);
 
+/// The reverse: parse the text of a "gemsd.trace.v1" document back into
+/// native events. traceEvents is converted one element at a time, never
+/// held as a parsed tree, and otherData may come before or after it.
+/// Spans, instants and message flows all round-trip; per-txn phase args are
+/// re-expanded into PhaseTotal records. Presentation metadata ("M" records)
+/// and the counter tracks ("C") of older traces stay behind. Returns false
+/// with `error` set on malformed JSON (the parser's message) and on
+/// documents that are not gemsd traces.
+bool parse_chrome_trace(const std::string& text, std::vector<TraceEvent>& out,
+                        std::uint64_t& dropped, std::string& error);
+
 }  // namespace gemsd::obs

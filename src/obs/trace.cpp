@@ -338,4 +338,124 @@ std::string chrome_trace_json(
   return w.take();
 }
 
+// ------------------------------------------------------------ trace import
+
+namespace {
+
+/// Reverse of to_string() for names that appear as spans or instants.
+bool name_from_string(const std::string& s, TraceName& out) {
+  for (int i = 0; i < static_cast<int>(TraceName::kCount); ++i) {
+    const auto n = static_cast<TraceName>(i);
+    if (s == to_string(n)) {
+      out = n;
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Append the native events of one traceEvents element to `out`.
+void import_event(const JsonValue& je, std::vector<TraceEvent>& out) {
+  if (!je.is_object()) return;
+  const JsonValue* ph = je.find("ph");
+  const JsonValue* name = je.find("name");
+  if (!ph || !ph->is_string() || !name || !name->is_string()) return;
+  if (ph->str == "s" || ph->str == "f") {
+    // Message flow: begin/end pairs stitched by the top-level id; the
+    // optional top-level "v" is the long-message flag.
+    TraceEvent e;
+    e.kind = ph->str == "s" ? TraceKind::FlowBegin : TraceKind::FlowEnd;
+    e.name = e.kind == TraceKind::FlowBegin ? TraceName::kMsgSend
+                                            : TraceName::kMsgRecv;
+    e.node = static_cast<std::int16_t>(je.num_or("pid", 0.0) - 1.0);
+    e.t = je.num_or("ts", 0.0) * 1e-6;
+    e.id = static_cast<std::uint64_t>(je.num_or("id", 0.0));
+    e.value = je.num_or("v", 0.0);
+    out.push_back(e);
+    return;
+  }
+  // Metadata records ("M") are presentation-only and stay behind, as do
+  // the counter tracks ("C") of traces written before the sampler was
+  // retired.
+  if (ph->str != "X" && ph->str != "i") return;
+  TraceName tn;
+  if (!name_from_string(name->str, tn)) return;
+
+  TraceEvent e;
+  e.name = tn;
+  e.node = static_cast<std::int16_t>(je.num_or("pid", 0.0) - 1.0);
+  e.t = je.num_or("ts", 0.0) * 1e-6;
+  const JsonValue* args = je.find("args");
+  if (args) {
+    e.id = static_cast<std::uint64_t>(args->num_or("id", 0.0));
+    e.value = args->num_or("v", 0.0);
+    e.aux = static_cast<std::int32_t>(args->num_or("p", 0.0));
+  }
+
+  if (ph->str == "X") {
+    e.kind = TraceKind::Span;
+    e.dur = je.num_or("dur", 0.0) * 1e-6;
+    if (tn == TraceName::kTxn && args) {
+      e.value = args->num_or("type", 0.0);
+      out.push_back(e);
+      // Re-expand the folded phase totals (recorded at commit = span end).
+      const sim::SimTime tc = e.t + e.dur;
+      const std::pair<TraceName, const char*> phases[] = {
+          {TraceName::kPhaseCpu, "cpu_ms"},
+          {TraceName::kPhaseCpuWait, "cpu_wait_ms"},
+          {TraceName::kPhaseIo, "io_ms"},
+          {TraceName::kPhaseCc, "cc_ms"},
+          {TraceName::kPhaseQueue, "mpl_wait_ms"},
+      };
+      for (const auto& [pn, key] : phases) {
+        TraceEvent p;
+        p.name = pn;
+        p.kind = TraceKind::PhaseTotal;
+        p.node = e.node;
+        p.id = e.id;
+        p.t = tc;
+        p.value = args->num_or(key, 0.0) * 1e-3;
+        out.push_back(p);
+      }
+      return;
+    }
+  } else {
+    e.kind = TraceKind::Instant;
+  }
+  out.push_back(e);
+}
+
+/// The checks on everything but traceEvents; "" when `doc` is a gemsd trace.
+std::string check_trace_document(const JsonValue& doc) {
+  if (!doc.is_object()) return "trace document is not a JSON object";
+  const JsonValue* other = doc.find("otherData");
+  const JsonValue* schema = other ? other->find("schema") : nullptr;
+  if (!schema || !schema->is_string() || schema->str != "gemsd.trace.v1") {
+    return "not a gemsd.trace.v1 document (otherData.schema missing)";
+  }
+  const JsonValue* evs = doc.find("traceEvents");
+  if (!evs || !evs->is_array()) return "traceEvents array missing";
+  return "";
+}
+
+}  // namespace
+
+bool parse_chrome_trace(const std::string& text, std::vector<TraceEvent>& out,
+                        std::uint64_t& dropped, std::string& error) {
+  out.clear();
+  dropped = 0;
+  JsonValue doc;  // everything but the elements of traceEvents
+  const bool parsed = json_parse_each(
+      text, "traceEvents",
+      [&out](const JsonValue& je) { import_event(je, out); }, doc, error);
+  if (parsed) error = check_trace_document(doc);
+  if (!parsed || !error.empty()) {
+    out.clear();
+    return false;
+  }
+  dropped = static_cast<std::uint64_t>(
+      doc.find("otherData")->num_or("events_dropped", 0.0));
+  return true;
+}
+
 }  // namespace gemsd::obs

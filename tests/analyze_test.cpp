@@ -1,4 +1,5 @@
-// Offline trace analysis (src/obs/analyze.*): contention attribution,
+// The trace replay's cross-checks (src/obs/critpath.*): phase totals
+// against the reported breakdown, per-page waits, conflict pairs, the
 // wait-for graph replay against the simulator's deadlock counter, and the
 // Chrome-trace round trip the gemsd_analyze CLI rides on.
 #include <gtest/gtest.h>
@@ -11,7 +12,7 @@
 
 #include "core/experiment.hpp"
 #include "core/system.hpp"
-#include "obs/analyze.hpp"
+#include "obs/critpath.hpp"
 #include "obs/json.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -31,17 +32,17 @@ constexpr std::uint64_t tid(int node, std::uint64_t seq) {
 // ------------------------------------------------------------ pure analysis
 
 TEST(Analyze, EmptyTraceYieldsZeroAnalysis) {
-  const obs::TraceAnalysis a = obs::analyze_trace({}, 0);
+  const obs::CritPathAnalysis a = obs::critical_path({}, 0);
   EXPECT_EQ(a.events, 0u);
   EXPECT_EQ(a.events_dropped, 0u);
-  EXPECT_EQ(a.total.txns, 0u);
+  EXPECT_EQ(a.txns, 0u);
   EXPECT_TRUE(a.nodes.empty());
   EXPECT_TRUE(a.hot_pages.empty());
   EXPECT_TRUE(a.conflicts.empty());
   EXPECT_EQ(a.wait_edges, 0u);
   EXPECT_EQ(a.cycles, 0u);
   // Formatting an empty analysis must not crash and must stay well-formed.
-  const std::string s = obs::format_analysis(a, 10);
+  const std::string s = obs::format_critical_path(a, 10);
   EXPECT_NE(s.find("0 events"), std::string::npos);
   EXPECT_NE(s.find("(none)"), std::string::npos);
 }
@@ -54,7 +55,7 @@ TEST(Analyze, SyntheticTwoPartyCycleIsCounted) {
               static_cast<double>(b_id));
   rec.instant(obs::TraceName::kWaitEdge, 1, b_id, 2.0,
               static_cast<double>(a_id));
-  const obs::TraceAnalysis an = obs::analyze_trace(rec.take(), 0);
+  const obs::CritPathAnalysis an = obs::critical_path(rec.take(), 0);
   EXPECT_EQ(an.wait_edges, 2u);
   EXPECT_EQ(an.cycles, 1u);
   // Conflict pairs carry the waiter node and the holder's node (from the id).
@@ -69,7 +70,7 @@ TEST(Analyze, SyntheticThreePartyCycle) {
   rec.instant(obs::TraceName::kWaitEdge, 0, a, 1.0, static_cast<double>(b));
   rec.instant(obs::TraceName::kWaitEdge, 1, b, 2.0, static_cast<double>(c));
   rec.instant(obs::TraceName::kWaitEdge, 2, c, 3.0, static_cast<double>(a));
-  const obs::TraceAnalysis an = obs::analyze_trace(rec.take(), 0);
+  const obs::CritPathAnalysis an = obs::critical_path(rec.take(), 0);
   EXPECT_EQ(an.wait_edges, 3u);
   EXPECT_EQ(an.cycles, 1u);
 }
@@ -82,7 +83,7 @@ TEST(Analyze, GrantRetiresEdgesBeforeCycleForms) {
   rec.span(obs::TraceName::kLockWait, 0, a, 1.0, 2.0, /*page=*/7.0,
            /*aux=*/0);
   rec.instant(obs::TraceName::kWaitEdge, 1, b, 3.0, static_cast<double>(a));
-  const obs::TraceAnalysis an = obs::analyze_trace(rec.take(), 0);
+  const obs::CritPathAnalysis an = obs::critical_path(rec.take(), 0);
   EXPECT_EQ(an.wait_edges, 2u);
   EXPECT_EQ(an.cycles, 0u);
   // The lock.wait span also feeds the hot-page table.
@@ -99,9 +100,8 @@ TEST(Analyze, CommitAndRestartRetireEdges) {
   rec.instant(obs::TraceName::kWaitEdge, 1, b, 3.0, static_cast<double>(a));
   rec.instant(obs::TraceName::kRestart, 1, b, 4.0);
   rec.instant(obs::TraceName::kWaitEdge, 0, a, 5.0, static_cast<double>(b));
-  const obs::TraceAnalysis an = obs::analyze_trace(rec.take(), 0);
+  const obs::CritPathAnalysis an = obs::critical_path(rec.take(), 0);
   EXPECT_EQ(an.cycles, 0u);
-  EXPECT_EQ(an.total.restarts, 1u);
 }
 
 // ------------------------------------------------- analysis of real traces
@@ -146,9 +146,9 @@ TEST(Analyze, AttributionReconcilesWithReportedBreakdown) {
   const RunResult r = run_debit_credit(traced_config());
   ASSERT_TRUE(r.telemetry && r.telemetry->trace_enabled);
   ASSERT_EQ(r.telemetry->events_dropped, 0u);
-  const obs::TraceAnalysis a =
-      obs::analyze_trace(r.telemetry->events, r.telemetry->events_dropped);
-  EXPECT_EQ(a.total.txns, r.commits);
+  const obs::CritPathAnalysis a =
+      obs::critical_path(r.telemetry->events, r.telemetry->events_dropped);
+  EXPECT_EQ(a.txns, r.commits);
 
   const obs::JsonValue m = metrics_json(r);
   const obs::Reconciliation rec = obs::reconcile(a, m, 0.01);
@@ -160,28 +160,33 @@ TEST(Analyze, AttributionReconcilesWithReportedBreakdown) {
 TEST(Analyze, ChromeTraceRoundTripMatchesNativeAnalysis) {
   const RunResult r = run_debit_credit(traced_config());
   ASSERT_TRUE(r.telemetry);
-  const obs::TraceAnalysis native =
-      obs::analyze_trace(r.telemetry->events, r.telemetry->events_dropped);
+  const obs::CritPathAnalysis native =
+      obs::critical_path(r.telemetry->events, r.telemetry->events_dropped);
 
   const std::string json = obs::chrome_trace_json(*r.telemetry, {});
   std::vector<obs::TraceEvent> events;
   std::uint64_t dropped = 0;
   std::string err;
   ASSERT_TRUE(obs::parse_chrome_trace(json, events, dropped, err)) << err;
-  const obs::TraceAnalysis parsed = obs::analyze_trace(events, dropped);
+  const obs::CritPathAnalysis parsed = obs::critical_path(events, dropped);
 
-  EXPECT_EQ(parsed.total.txns, native.total.txns);
-  EXPECT_EQ(parsed.total.lock_waits, native.total.lock_waits);
+  const auto lock_waits = [](const obs::CritPathAnalysis& a) {
+    std::uint64_t n = 0;
+    for (const obs::HotPage& hp : a.hot_pages) n += hp.waits;
+    return n;
+  };
+  EXPECT_EQ(parsed.txns, native.txns);
+  EXPECT_EQ(lock_waits(parsed), lock_waits(native));
   EXPECT_EQ(parsed.wait_edges, native.wait_edges);
   EXPECT_EQ(parsed.cycles, native.cycles);
   EXPECT_EQ(parsed.deadlock_instants, native.deadlock_instants);
   EXPECT_EQ(parsed.hot_pages.size(), native.hot_pages.size());
   // Timestamps go through a fixed-point microsecond encoding; phase sums
-  // survive to within a microsecond per transaction.
-  EXPECT_NEAR(parsed.total.cpu_s, native.total.cpu_s,
-              1e-6 * static_cast<double>(native.total.txns) + 1e-9);
-  EXPECT_NEAR(parsed.total.io_s, native.total.io_s,
-              1e-6 * static_cast<double>(native.total.txns) + 1e-9);
+  // (cpu, io) survive to within a microsecond per transaction.
+  for (const std::size_t k : {0, 2}) {
+    EXPECT_NEAR(parsed.phase_s[k], native.phase_s[k],
+                1e-6 * static_cast<double>(native.txns) + 1e-9);
+  }
 }
 
 TEST(Analyze, ParserRejectsForeignDocuments) {
@@ -275,11 +280,11 @@ TEST(Analyze, RingDropsAreSurfacedAndSurvivable) {
   ASSERT_GT(r.telemetry->events_dropped, 0u);
   // Partial spans (txn commits whose start fell off the ring) must not
   // derail the analysis; the drop count travels with the result.
-  const obs::TraceAnalysis a =
-      obs::analyze_trace(r.telemetry->events, r.telemetry->events_dropped);
+  const obs::CritPathAnalysis a =
+      obs::critical_path(r.telemetry->events, r.telemetry->events_dropped);
   EXPECT_EQ(a.events_dropped, r.telemetry->events_dropped);
-  EXPECT_GT(a.total.txns, 0u);
-  EXPECT_LT(a.total.txns, r.commits);
+  EXPECT_GT(a.txns, 0u);
+  EXPECT_LT(a.txns, r.commits);
 }
 
 // ------------------------------------------ wait-for replay vs the simulator
@@ -357,7 +362,7 @@ TEST_P(WaitForReplay, CycleCountMatchesDeadlockCounter) {
   ASSERT_EQ(dropped, 0u);
   ASSERT_GT(r.deadlocks, 0u) << "workload not hostile enough to deadlock";
 
-  const obs::TraceAnalysis a = obs::analyze_trace(events, dropped);
+  const obs::CritPathAnalysis a = obs::critical_path(events, dropped);
   EXPECT_EQ(a.deadlock_instants, r.deadlocks);
   EXPECT_EQ(a.cycles, r.deadlocks)
       << "replayed wait-for cycles diverge from the simulator's verdicts";

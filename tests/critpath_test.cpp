@@ -1,12 +1,13 @@
 // Critical-path profiler (src/obs/critpath.*): blocking-chain attribution on
 // synthetic recorder streams, reconciliation against traced response times on
-// real GEM and PCL runs, the Chrome-trace import round trip (flows and
-// counters included), the --trace-filter recording mask, and the per-phase
-// percentile export.
+// real GEM and PCL runs, the numbers of docs/observability.md's worked
+// example, the Chrome-trace import round trip (flows and counters included),
+// the --trace-filter recording mask, and the per-phase percentile export.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <regex>
 #include <sstream>
@@ -14,8 +15,8 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "core/scenario.hpp"
 #include "core/system.hpp"
-#include "obs/analyze.hpp"
 #include "obs/critpath.hpp"
 #include "obs/json.hpp"
 #include "obs/telemetry.hpp"
@@ -216,6 +217,99 @@ TEST(CritPath, JsonValidatesAgainstCommittedSchema) {
   std::vector<std::string> problems;
   EXPECT_TRUE(obs::json_schema_validate(schema, doc, problems))
       << (problems.empty() ? "" : problems.front());
+}
+
+// ---------------------------------- docs/observability.md's worked example
+
+/// `v` as the worked example prints it, with `decimals` digits.
+std::string fixed(double v, int decimals) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.*f", decimals, v);
+  return buf;
+}
+
+/// fig_4_7's --quick plan, cell `index` (affinity routing, 8 nodes), traced
+/// whole into a 2^21-event ring and replayed.
+obs::CritPathAnalysis fig47_cell(std::size_t index, Coupling coupling) {
+  BenchOptions opt;
+  EXPECT_EQ(try_parse_bench_args({"--quick"}, opt), "");
+  const ScenarioPlan plan = build_scenario_plan(*find_scenario("fig_4_7"), opt);
+  SystemConfig cfg = plan.cells.at(index).cfg;
+  EXPECT_EQ(cfg.coupling, coupling);
+  EXPECT_EQ(cfg.routing, Routing::Affinity);
+  EXPECT_EQ(cfg.nodes, 8);
+  cfg.obs.trace = true;
+  cfg.obs.trace_capacity = std::size_t{1} << 21;
+  const RunResult r = run_trace(cfg, *plan.trace);
+  EXPECT_EQ(r.telemetry->events_dropped, 0u);
+  return obs::critical_path(r.telemetry->events, r.telemetry->events_dropped);
+}
+
+/// Per-txn mean of a class in ms, at the example's three decimals.
+std::string mean_ms(const obs::CritPathAnalysis& a, double class_s) {
+  return fixed(class_s * 1e3 / static_cast<double>(a.txns), 3);
+}
+
+/// A partition's I/O seconds on the paths, at the example's one decimal.
+std::string partition_io_s(const obs::CritPathAnalysis& a, std::int32_t p) {
+  for (const obs::PartitionCrit& pc : a.partitions) {
+    if (pc.partition == p) return fixed(pc.io_s, 1);
+  }
+  return "no partition " + std::to_string(p);
+}
+
+TEST(CritPath, WorkedExamplePcl) {
+  const obs::CritPathAnalysis a = fig47_cell(14, Coupling::PrimaryCopy);
+  EXPECT_EQ(a.txns, 2453u);
+  EXPECT_EQ(a.txns_within_tol, 2453u);
+  EXPECT_EQ(fixed(a.response_s * 1e3 / static_cast<double>(a.txns), 1),
+            "486.4");
+  EXPECT_EQ(fixed(a.p99_ms, 1), "3021.9");
+  EXPECT_EQ(mean_ms(a, a.total.msg_s), "44.664");
+  EXPECT_EQ(mean_ms(a, a.total.gem_s), "0.000");
+  EXPECT_EQ(mean_ms(a, a.total.lock_wait_s), "38.909");
+  EXPECT_EQ(mean_ms(a, a.total.lock_holder_io_s), "18.205");
+  EXPECT_EQ(mean_ms(a, a.total.lock_holder_lock_s), "11.196");
+
+  // Tail cohorts: the p90-p99 decile pays for messages and blocking chains.
+  ASSERT_EQ(a.cohorts.size(), 5u);
+  const obs::CohortCrit& fast = a.cohorts[1];
+  const obs::CohortCrit& slow = a.cohorts[3];
+  ASSERT_EQ(fast.label, "<=p50");
+  ASSERT_EQ(slow.label, "p90-p99");
+  const auto cohort_ms = [](const obs::CohortCrit& c, double class_s) {
+    return fixed(class_s * 1e3 / static_cast<double>(c.txns), 3);
+  };
+  EXPECT_EQ(cohort_ms(slow, slow.sum.msg_s), "143.988");
+  EXPECT_EQ(cohort_ms(slow, slow.sum.lock_wait_s), "306.847");
+  EXPECT_EQ(cohort_ms(fast, fast.sum.msg_s), "11.471");
+  EXPECT_EQ(cohort_ms(fast, fast.sum.lock_wait_s), "0.092");
+
+  // Lock-wait seconds by partition, and the catalog file's I/O.
+  const std::pair<std::int32_t, const char*> waits[] = {
+      {6, "46.2"}, {4, "23.4"}, {2, "16.6"}, {8, "8.5"}, {10, "0.6"}};
+  ASSERT_GT(a.partitions.size(), std::size(waits));
+  for (std::size_t i = 0; i < std::size(waits); ++i) {
+    EXPECT_EQ(a.partitions[i].partition, waits[i].first) << i;
+    EXPECT_EQ(fixed(a.partitions[i].lock_wait_s, 1), waits[i].second) << i;
+  }
+  EXPECT_EQ(a.partitions[std::size(waits)].lock_wait_s, 0.0);
+  EXPECT_EQ(partition_io_s(a, 0), "159.1");
+}
+
+TEST(CritPath, WorkedExampleGem) {
+  const obs::CritPathAnalysis a = fig47_cell(4, Coupling::GemLocking);
+  EXPECT_EQ(a.txns, 2353u);
+  EXPECT_EQ(a.txns_within_tol, 2353u);
+  EXPECT_EQ(fixed(a.response_s * 1e3 / static_cast<double>(a.txns), 1),
+            "433.5");
+  EXPECT_EQ(fixed(a.p99_ms, 1), "2924.6");
+  EXPECT_EQ(mean_ms(a, a.total.msg_s), "0.092");
+  EXPECT_EQ(mean_ms(a, a.total.gem_s), "3.529");
+  EXPECT_EQ(mean_ms(a, a.total.lock_wait_s), "34.231");
+  EXPECT_EQ(mean_ms(a, a.total.lock_holder_io_s), "17.902");
+  EXPECT_EQ(mean_ms(a, a.total.lock_holder_lock_s), "10.202");
+  EXPECT_EQ(partition_io_s(a, 0), "154.5");
 }
 
 // -------------------------------------------- flow / counter import round trip

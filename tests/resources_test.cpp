@@ -18,7 +18,6 @@
 #include "core/config.hpp"
 #include "core/experiment.hpp"
 #include "core/system.hpp"
-#include "obs/analyze.hpp"
 #include "obs/json.hpp"
 #include "obs/resources.hpp"
 #include "obs/telemetry.hpp"

@@ -1,24 +1,22 @@
 // gemsd_analyze — interpret the observability layer's outputs:
 //
 //   gemsd_analyze <trace.json> [--results=FILE] [--run=I] [--top=K]
-//                 [--tolerance=T]
-//       Contention attribution from a "gemsd.trace.v1" Chrome trace: per-node
-//       phase buckets, hottest pages, lock-conflict pairs, and a wait-for
-//       graph replay with cycle detection. With --results, the attribution is
-//       cross-checked against run I of a "gemsd.results.v1" document (phase
-//       buckets must reconcile with breakdown_ms within the tolerance, the
-//       replayed cycle count with the deadlock counter); a mismatch on a
-//       complete trace (no ring drops) exits 1.
-//
-//   gemsd_analyze <trace.json> --critical-path[=FILE] [--top=K]
-//       Critical-path profile instead of the attribution report: every second
-//       of each committed transaction's response time classified (lock waits
+//                 [--tolerance=T] [--critical-path=FILE]
+//       One replay of a "gemsd.trace.v1" Chrome trace: every second of each
+//       committed transaction's response time classified (lock waits
 //       resolved to the holder's concurrent activity, message gaps, restart
-//       backoff) plus tail cohorts from the response-time percentiles. With
-//       =FILE the "gemsd.critpath.v1" document is also written (validate with
-//       gemsd_validate schemas/critpath.schema.json). On a complete trace
-//       (no ring drops) fewer than 99% of transactions reconciling within 1%
-//       of their traced response exits 1.
+//       backoff), tail cohorts from the response-time percentiles, per-node
+//       and per-partition tables, the hottest pages, lock-conflict pairs and
+//       a wait-for graph replay with cycle detection. On a complete trace (no
+//       ring drops) fewer than 99% of transactions reconciling within 1% of
+//       their traced response exits 1. With --results, the trace is also
+//       cross-checked against run I of a "gemsd.results.v1" document (the
+//       summed phase totals must reconcile with breakdown_ms within the
+//       tolerance, the replayed cycle count with the deadlock counter); a
+//       mismatch on a complete trace exits 1; with ring drops every check
+//       is advisory (a note says so, exit 0). --critical-path=FILE also
+//       writes the "gemsd.critpath.v1" document (validate with
+//       gemsd_validate schemas/critpath.schema.json).
 //
 //   gemsd_analyze --timeseries <timeseries.json> [--csv=FILE]
 //       Steady-state report from a "gemsd.timeseries.v1" document (written
@@ -64,10 +62,10 @@
 #include <string>
 
 #include "core/parse_number.hpp"
-#include "obs/analyze.hpp"
 #include "obs/critpath.hpp"
 #include "obs/json.hpp"
 #include "obs/resources.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/timeseries.hpp"
 
 namespace {
@@ -122,8 +120,7 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: gemsd_analyze <trace.json> [--results=FILE] [--run=I]\n"
-      "                     [--top=K] [--tolerance=T]\n"
-      "       gemsd_analyze <trace.json> --critical-path[=FILE] [--top=K]\n"
+      "                     [--top=K] [--tolerance=T] [--critical-path=FILE]\n"
       "       gemsd_analyze --bottleneck[=FILE] [<resources.json>]\n"
       "       gemsd_analyze --timeseries <timeseries.json> [--csv=FILE]\n"
       "       gemsd_analyze --memory-budget=BYTES <results.json>\n");
@@ -164,7 +161,6 @@ int main(int argc, char** argv) {
   using namespace gemsd;
 
   std::string trace_path, results_path;
-  bool critpath = false;
   bool timeseries = false;
   bool bottleneck = false;
   double memory_budget = 0.0;  // > 0: --memory-budget mode
@@ -189,10 +185,7 @@ int main(int argc, char** argv) {
                std::isfinite(memory_budget) && memory_budget > 0.0;
     } else if (std::strncmp(a, "--csv=", 6) == 0) {
       csv_file = a + 6;
-    } else if (std::strcmp(a, "--critical-path") == 0) {
-      critpath = true;
     } else if (std::strncmp(a, "--critical-path=", 16) == 0) {
-      critpath = true;
       critpath_file = a + 16;
     } else if (std::strncmp(a, "--results=", 10) == 0) {
       results_path = a + 10;
@@ -294,32 +287,23 @@ int main(int argc, char** argv) {
     }
   }  // the text goes before the analysis builds its tables
 
-  if (critpath) {
-    const obs::CritPathAnalysis cp = obs::critical_path(events, dropped);
-    std::fputs(obs::format_critical_path(cp, top_k).c_str(), stdout);
-    if (!critpath_file.empty() &&
-        !write_reported(critpath_file, obs::critical_path_json(cp) + "\n")) {
-      return 2;
-    }
-    // On a complete trace the per-class seconds must reconcile with the
-    // traced response for (essentially) every transaction; with ring drops
-    // the profile is advisory only.
-    if (dropped == 0 && cp.txns > 0 &&
-        static_cast<double>(cp.txns_within_tol) <
-            0.99 * static_cast<double>(cp.txns)) {
-      std::fprintf(stderr,
-                   "error: only %llu/%llu txns reconcile within 1%%\n",
-                   static_cast<unsigned long long>(cp.txns_within_tol),
-                   static_cast<unsigned long long>(cp.txns));
-      return 1;
-    }
-    return 0;
+  const obs::CritPathAnalysis cp = obs::critical_path(events, dropped);
+  std::fputs(obs::format_critical_path(cp, top_k).c_str(), stdout);
+  if (!critpath_file.empty() &&
+      !write_reported(critpath_file, obs::critical_path_json(cp) + "\n")) {
+    return 2;
   }
 
-  const obs::TraceAnalysis analysis = obs::analyze_trace(events, dropped);
-  std::fputs(obs::format_analysis(analysis, top_k).c_str(), stdout);
-
-  int rc = 0;
+  // On a complete trace the per-class seconds must reconcile with the traced
+  // response for (essentially) every transaction; with ring drops every
+  // cross-check is advisory only.
+  bool ok = cp.txns == 0 || static_cast<double>(cp.txns_within_tol) >=
+                                0.99 * static_cast<double>(cp.txns);
+  if (!ok && dropped == 0) {
+    std::fprintf(stderr, "error: only %llu/%llu txns reconcile within 1%%\n",
+                 static_cast<unsigned long long>(cp.txns_within_tol),
+                 static_cast<unsigned long long>(cp.txns));
+  }
   if (!results_path.empty()) {
     obs::JsonValue results;
     if (!load_json(results_path, results)) return 2;
@@ -336,26 +320,21 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    const obs::Reconciliation rec =
-        obs::reconcile(analysis, *metrics, tolerance);
+    const obs::Reconciliation rec = obs::reconcile(cp, *metrics, tolerance);
     std::fputs(obs::format_reconciliation(rec).c_str(), stdout);
-
-    const auto deadlocks = static_cast<std::uint64_t>(
-        metrics->find("deadlocks") && metrics->find("deadlocks")->is_number()
-            ? metrics->find("deadlocks")->num
-            : 0.0);
+    const auto deadlocks =
+        static_cast<std::uint64_t>(metrics->num_or("deadlocks", 0.0));
     std::printf("deadlock cross-check: %llu cycles replayed vs %llu counted "
                 "by the simulator\n",
-                static_cast<unsigned long long>(analysis.cycles),
+                static_cast<unsigned long long>(cp.cycles),
                 static_cast<unsigned long long>(deadlocks));
-    if (dropped > 0) {
-      std::printf("note: %llu events dropped from the ring; cross-checks are "
-                  "advisory only\n",
-                  static_cast<unsigned long long>(dropped));
-    } else {
-      if (!rec.ok) rc = 1;
-      if (analysis.cycles != deadlocks) rc = 1;
-    }
+    ok = ok && rec.ok && cp.cycles == deadlocks;
   }
-  return rc;
+  if (dropped > 0) {
+    std::printf("note: %llu events dropped from the ring; cross-checks are "
+                "advisory only\n",
+                static_cast<unsigned long long>(dropped));
+    return 0;
+  }
+  return ok ? 0 : 1;
 }

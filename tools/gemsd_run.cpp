@@ -25,6 +25,7 @@
 // format and each key's range. After printing every run, a run that fails
 // the sanity check (run_failure: nothing committed, a coherency violation,
 // a non-finite value) exits 1, naming the spec, the run and the reason.
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <map>
@@ -39,15 +40,25 @@
 
 namespace {
 
+/// The shared flags the spec owns (horizon, node count, seed): rejected on
+/// the command line, and left out of the usage text.
+const std::vector<std::string> kSpecOwned = {"--quick", "--measure",
+                                             "--warmup", "--max-nodes",
+                                             "--seed"};
+
 void usage() {
+  std::string owned;
+  for (const std::string& f : kSpecOwned) {
+    owned += (owned.empty() ? "" : ", ") + f;
+  }
   std::fprintf(stderr,
                "usage: gemsd_run <spec.ini> [more-specs.ini ...] [flags]\n"
                "\n"
                "The spec sets warm-up, measurement, nodes and seed, so\n"
-               "--quick, --measure, --warmup, --max-nodes and --seed are\n"
-               "rejected. Flags (run default --slow-k=0, JSON only with\n"
+               "%s are rejected.\n"
+               "Flags (run default --slow-k=0, JSON only with\n"
                "--metrics-json):\n%s",
-               gemsd::bench_usage().c_str());
+               owned.c_str(), gemsd::bench_usage(kSpecOwned).c_str());
 }
 
 }  // namespace
@@ -63,15 +74,12 @@ int main(int argc, char** argv) {
       spec_files.push_back(a);
       continue;
     }
-    const std::string name = a.substr(0, a.find('='));
-    for (const char* owned :
-         {"--quick", "--measure", "--warmup", "--max-nodes", "--seed"}) {
-      if (name == owned) {
-        std::fprintf(stderr, "error: '%s' is set by the spec file\n\n",
-                     a.c_str());
-        usage();
-        return 2;
-      }
+    if (std::find(kSpecOwned.begin(), kSpecOwned.end(),
+                  a.substr(0, a.find('='))) != kSpecOwned.end()) {
+      std::fprintf(stderr, "error: '%s' is set by the spec file\n\n",
+                   a.c_str());
+      usage();
+      return 2;
     }
     flags.push_back(a);
   }
