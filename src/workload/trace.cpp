@@ -88,9 +88,12 @@ TxnSpec Trace::txn(std::size_t i) const {
   TxnSpec s;
   s.type = t.type;
   s.affinity_key = t.type;
-  s.refs.resize(t.count);
-  for (std::size_t k = 0; k < t.count; ++k) s.refs[k] = ref(t.first + k);
+  s.refs = RefList(*this, t.first, t.count);
   return s;
+}
+
+PageRef RefList::view_ref(std::size_t k) const {
+  return trace_->ref(first_ + k);
 }
 
 PageRef Trace::ref(std::uint64_t i) const {
@@ -333,30 +336,60 @@ TraceProfile profile_trace(const Trace& t) {
   TraceProfile p;
   p.num_types = t.num_types;
   p.num_files = t.num_files;
-  p.type_load.assign(static_cast<std::size_t>(t.num_types), 0.0);
-  p.type_file_refs.assign(
-      static_cast<std::size_t>(t.num_types),
-      std::vector<double>(static_cast<std::size_t>(t.num_files), 0.0));
+  const auto types = static_cast<std::size_t>(t.num_types);
+  p.type_load.assign(types, 0.0);
+  p.type_file_refs.resize(types);
+  // The transactions grouped by type, in trace order (a counting sort), so
+  // one per-file count serves each type in turn; emptying it lists the
+  // type's files in ascending order (types × files steps in all, which
+  // Trace::load bounds by kMaxTypeFileCells).
+  std::vector<std::size_t> start(types + 1, 0);
   for (const auto& txn : t.txns_) {
-    const auto ty = static_cast<std::size_t>(txn.type);
-    p.type_load[ty] += static_cast<double>(txn.count);
-    for (std::size_t k = 0; k < txn.count; ++k) {
-      const PageRef r = t.ref(txn.first + k);
-      p.type_file_refs[ty][static_cast<std::size_t>(r.page.partition)] += 1.0;
+    ++start[static_cast<std::size_t>(txn.type) + 1];
+  }
+  for (std::size_t ty = 0; ty < types; ++ty) start[ty + 1] += start[ty];
+  std::vector<std::size_t> by_type(t.txns_.size());
+  {
+    std::vector<std::size_t> next(start.begin(), start.end() - 1);
+    for (std::size_t i = 0; i < t.txns_.size(); ++i) {
+      by_type[next[static_cast<std::size_t>(t.txns_[i].type)]++] = i;
     }
+  }
+  std::vector<std::uint64_t> count(static_cast<std::size_t>(t.num_files), 0);
+  std::vector<TraceProfile::FileRefs> row;  // copied out at its own size
+  for (std::size_t ty = 0; ty < types; ++ty) {
+    for (std::size_t j = start[ty]; j < start[ty + 1]; ++j) {
+      const auto& txn = t.txns_[by_type[j]];
+      p.type_load[ty] += static_cast<double>(txn.count);
+      for (std::size_t k = 0; k < txn.count; ++k) {
+        ++count[static_cast<std::size_t>(t.ref(txn.first + k).page.partition)];
+      }
+    }
+    for (std::size_t f = 0; f < count.size(); ++f) {
+      if (count[f] != 0) {
+        row.push_back({static_cast<int>(f), static_cast<double>(count[f])});
+        count[f] = 0;
+      }
+    }
+    p.type_file_refs[ty] = row;
+    row.clear();
   }
   return p;
 }
 
 namespace {
 
-double cosine(const std::vector<double>& a, const std::vector<double>& b) {
+/// Cosine of a type's file row and a node's dense one. Each file the row
+/// leaves out would add exactly +0.0 to `dot` and `na`, so both sums equal
+/// the dense ones bit for bit; `nb` sums the whole node row.
+double cosine(const std::vector<TraceProfile::FileRefs>& a,
+              const std::vector<double>& b) {
   double dot = 0, na = 0, nb = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    dot += a[i] * b[i];
-    na += a[i] * a[i];
-    nb += b[i] * b[i];
+  for (const auto& [f, refs] : a) {
+    dot += refs * b[static_cast<std::size_t>(f)];
+    na += refs * refs;
   }
+  for (const double v : b) nb += v * v;
   if (na == 0.0 || nb == 0.0) return 0.0;
   return dot / std::sqrt(na * nb);
 }
@@ -406,9 +439,10 @@ std::vector<std::vector<double>> make_affinity_routing(const TraceProfile& p,
       const double take = (room > 1e-9) ? std::min(remaining, room) : remaining;
       share[ty][best] += take / p.type_load[ty];
       node_load[best] += take;
-      for (std::size_t f = 0; f < node_files[best].size(); ++f) {
-        node_files[best][f] +=
-            p.type_file_refs[ty][f] * take / p.type_load[ty];
+      // The files the type leaves out would each add +0.0.
+      for (const auto& [f, refs] : p.type_file_refs[ty]) {
+        node_files[best][static_cast<std::size_t>(f)] +=
+            refs * take / p.type_load[ty];
       }
       remaining -= take;
     }
@@ -431,12 +465,12 @@ std::vector<NodeId> make_gla_assignment(
   const auto F = static_cast<std::size_t>(p.num_files);
   const auto N = static_cast<std::size_t>(nodes);
   // refs[n][f]: expected references to file f issued from node n under the
-  // routing table.
+  // routing table (the files a type leaves out would each add +0.0).
   std::vector<std::vector<double>> refs(N, std::vector<double>(F, 0.0));
   for (std::size_t ty = 0; ty < share.size(); ++ty) {
     for (std::size_t n = 0; n < N; ++n) {
-      for (std::size_t f = 0; f < F; ++f) {
-        refs[n][f] += share[ty][n] * p.type_file_refs[ty][f];
+      for (const auto& [f, r] : p.type_file_refs[ty]) {
+        refs[n][static_cast<std::size_t>(f)] += share[ty][n] * r;
       }
     }
   }

@@ -32,9 +32,9 @@ class Trace {
   static constexpr int kMaxFiles = 1 << 16;
   static constexpr std::int64_t kMaxPage = (std::int64_t{1} << 47) - 1;
   /// Limits of a loaded header, which bound the per-type tables (one
-  /// statistic per type, one reference count per type and file in
-  /// profile_trace): at most 65,536 types and 2^24 type-file cells (128 MB
-  /// of profile).
+  /// statistic and one routing row per type) and the routing heuristic's
+  /// work, which sums a node's whole per-file row for every type it places:
+  /// at most 65,536 types and 2^24 type-file cells.
   static constexpr int kMaxTypes = 1 << 16;
   static constexpr std::int64_t kMaxTypeFileCells = std::int64_t{1} << 24;
 
@@ -46,6 +46,9 @@ class Trace {
   /// Page references of all transactions together.
   std::size_t references() const { return refs_; }
   /// Transaction i as the SOURCE submits it; its affinity key is its type.
+  /// Its references are a view of this store, read in place: valid while
+  /// this Trace lives, and still correct after a later reference widens
+  /// the store.
   TxnSpec txn(std::size_t i) const;
 
   /// Sizes the store for `txns` transactions and `refs` references with
@@ -138,6 +141,7 @@ class Trace {
   unsigned page_bits_ = 0;
   unsigned width_ = 0;  ///< 1 + partition_bits_ + page_bits_; 0 before widen
 
+  friend class RefList;
   friend TraceStats compute_stats(const Trace& t);
   friend TraceProfile profile_trace(const Trace& t);
 };
@@ -157,7 +161,9 @@ TraceStats compute_stats(const Trace& t);
 
 /// Workload generator that replays a trace: transactions are submitted in
 /// their original order (cycling when the arrival process outruns the trace),
-/// per the common-arrival-rate replay mode of Section 3.1.
+/// per the common-arrival-rate replay mode of Section 3.1. Each one views its
+/// references in the trace (Trace::txn), so the trace must outlive every
+/// transaction handed out.
 class TraceWorkload : public WorkloadGenerator {
  public:
   explicit TraceWorkload(const Trace& trace) : trace_(trace) {}
@@ -174,12 +180,20 @@ class TraceWorkload : public WorkloadGenerator {
 };
 
 /// Per-type reference profile of a trace: input to the workload-allocation
-/// and GLA heuristics [Ra92b].
+/// and GLA heuristics [Ra92b]. Sparse: a type's row lists only the files it
+/// references, so the profile grows with the (type, file) pairs a trace
+/// uses, not with types × files.
 struct TraceProfile {
+  /// A type's references to one file.
+  struct FileRefs {
+    int file = 0;
+    double refs = 0.0;
+  };
   int num_types = 0;
   int num_files = 0;
-  std::vector<double> type_load;                    ///< total refs by type
-  std::vector<std::vector<double>> type_file_refs;  ///< [type][file]
+  std::vector<double> type_load;  ///< total refs by type
+  /// [type]: the files the type references, in ascending file order.
+  std::vector<std::vector<FileRefs>> type_file_refs;
 };
 TraceProfile profile_trace(const Trace& t);
 

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 #include "core/types.hpp"
@@ -19,19 +21,66 @@ struct PageRef {
   bool update_intent = false;
 };
 
+class Trace;
+
+/// A transaction's page reference string, read by position. A generator that
+/// builds its references owns them (push_back, reserve, = {...}); a trace
+/// transaction views its references in the packed Trace store (Trace::txn),
+/// decoded on each read, so handing it out neither allocates nor copies.
+/// Reads yield PageRef values.
+class RefList {
+ public:
+  RefList() = default;
+  RefList(std::initializer_list<PageRef> refs) : owned_(refs) {}
+
+  std::size_t size() const { return trace_ ? count_ : owned_.size(); }
+  bool empty() const { return size() == 0; }
+  PageRef operator[](std::size_t k) const {
+    return trace_ ? view_ref(k) : owned_[k];
+  }
+  /// Owned lists only.
+  void reserve(std::size_t n) { owned_.reserve(n); }
+  void push_back(const PageRef& r) { owned_.push_back(r); }
+
+  class iterator {
+   public:
+    PageRef operator*() const { return (*list_)[k_]; }
+    iterator& operator++() {
+      ++k_;
+      return *this;
+    }
+    bool operator==(const iterator&) const = default;
+
+   private:
+    friend class RefList;
+    iterator(const RefList* list, std::size_t k) : list_(list), k_(k) {}
+    const RefList* list_;
+    std::size_t k_;
+  };
+  iterator begin() const { return {this, 0}; }
+  iterator end() const { return {this, size()}; }
+
+ private:
+  friend class Trace;
+  /// View of references [first, first + count) of `trace`.
+  RefList(const Trace& trace, std::uint64_t first, std::uint32_t count)
+      : trace_(&trace), first_(first), count_(count) {}
+  /// Reference k of a view, decoded by Trace::ref.
+  PageRef view_ref(std::size_t k) const;
+
+  std::vector<PageRef> owned_;
+  const Trace* trace_ = nullptr;  ///< the viewed trace; null when owned
+  std::uint64_t first_ = 0;
+  std::uint32_t count_ = 0;
+};
+
 /// A transaction as generated by the SOURCE: its type, its record/page
 /// reference string, and an affinity key used by affinity-based routers
 /// (the branch for debit-credit, the transaction type for traces).
 struct TxnSpec {
   int type = 0;
   std::int64_t affinity_key = 0;
-  std::vector<PageRef> refs;
-
-  bool is_update() const {
-    for (const auto& r : refs)
-      if (r.write) return true;
-    return false;
-  }
+  RefList refs;
 };
 
 /// Workload generator interface (the SOURCE draws transactions from it).

@@ -1,14 +1,16 @@
 // Cost gate on the model's hot path (DESIGN.md §5a): after warm-up, a run
-// may make only a few heap allocations, a bounded number of coroutine
-// frames, heap pushes and same-instant lane events, and a bounded number of
-// lock-queue entry reads per committed transaction. The binary replaces the
-// global operator new with a counting one, so it is its own executable (the
-// main suite does not pay for the counter); frames are counted by the frame
-// pool, events by the scheduler and queue reads by the lock table. The
-// counts are deterministic for a given binary, so the gate is exact where a
-// wall-clock benchmark cannot be: a coroutine wrapper that creeps back
-// around a station, a delay that stops fast-forwarding or a lock-queue scan
-// that grows back fails it.
+// may make only a few heap allocations of a bounded number of bytes, a
+// bounded number of coroutine frames, heap pushes and same-instant lane
+// events, and a bounded number of lock-queue entry reads per committed
+// transaction; handing out a trace transaction allocates nothing. The
+// binary replaces the global operator new with a counting one, so it is its
+// own executable (the main suite does not pay for the counter); frames are
+// counted by the frame pool, events by the scheduler and queue reads by the
+// lock table. The counts are deterministic for a given binary, so the gate
+// is exact where a wall-clock benchmark cannot be: a coroutine wrapper that
+// creeps back around a station, a delay that stops fast-forwarding, a
+// lock-queue scan that grows back or a reference string copied out of the
+// trace again fails it.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -43,6 +45,7 @@ namespace {
 /// Counts per commit in the measured phase of a run.
 struct PerCommit {
   double allocs;         ///< heap allocations
+  double bytes;          ///< bytes asked of operator new
   double frames;         ///< coroutine frames
   double heap_pushes;    ///< events pushed on the scheduler's heap
   double fast_forwards;  ///< events taken at once (Scheduler::try_advance)
@@ -58,8 +61,9 @@ PerCommit per_commit(const SystemConfig& cfg, System::Workload wl) {
   const sim::Scheduler& sched = sys.scheduler();
   const cc::LockTable& table = sys.protocol().table();
   auto counts = [&] {
-    return std::array<std::uint64_t, 6>{
-        g_allocs,           FramePool::frames_allocated(),
+    return std::array<std::uint64_t, 7>{
+        g_allocs,           g_bytes,
+        FramePool::frames_allocated(),
         sched.heap_pushes(), sched.fast_forwards(),
         sched.lane_events(), table.entries_examined()};
   };
@@ -75,9 +79,10 @@ PerCommit per_commit(const SystemConfig& cfg, System::Workload wl) {
   auto per = [&](std::size_t i) {
     return static_cast<double>(after[i] - before[i]) / commits;
   };
-  const PerCommit c{per(0), per(1), per(2), per(3), per(4), per(5)};
+  const PerCommit c{per(0), per(1), per(2), per(3), per(4), per(5), per(6)};
   const std::pair<const char*, double> props[] = {
       {"allocs_per_commit", c.allocs},
+      {"bytes_per_commit", c.bytes},
       {"frames_per_commit", c.frames},
       {"heap_pushes_per_commit", c.heap_pushes},
       {"fast_forwards_per_commit", c.fast_forwards},
@@ -102,7 +107,10 @@ TEST(AllocGate, GemTraceCellStaysWithinBudget) {
   cfg.warmup = 5.0;
   cfg.measure = 5.0;
   const PerCommit c = per_commit(cfg, make_trace_workload(cfg, trace));
-  EXPECT_LE(c.allocs, 15.0);
+  EXPECT_LE(c.allocs, 15.0);  // measured 7.55
+  // Measured 2,084 bytes: a transaction reads its references in the trace
+  // (3,496 when each one copied them into 24-byte PageRefs).
+  EXPECT_LE(c.bytes, 2400.0);
   EXPECT_LE(c.frames, 490.0);  // measured 423.6
   // Measured 272.5 pushes, 150.4 fast-forwards and 54.0 lane events (422.8
   // pushes without fast-forward dispatch); 970.5 queue entries read (1,947
@@ -139,6 +147,24 @@ TEST(AllocGate, StandardTraceIsBuiltWithoutRegrowth) {
   }
 }
 
+TEST(AllocGate, TraceWorkloadHandsOutViewsWithoutAllocating) {
+  // TraceWorkload::next hands out a view of the transaction's references in
+  // the packed store (Trace::txn): no allocation, where the copy into a
+  // PageRef vector made one per transaction.
+  sim::Rng rng(1);
+  const workload::Trace trace =
+      workload::generate_synthetic_trace(workload::SyntheticTraceConfig{}, rng);
+  workload::TraceWorkload gen(trace);
+  std::uint64_t refs = 0;
+  const std::uint64_t allocs0 = g_allocs;
+  for (int i = 0; i < 1000; ++i) refs += gen.next(rng).refs.size();
+  const std::uint64_t allocs = g_allocs - allocs0;
+  EXPECT_GT(refs, 1000u);
+  EXPECT_EQ(allocs, 0u);
+  ::testing::Test::RecordProperty("allocs_per_1000_next",
+                                  std::to_string(allocs));
+}
+
 TEST(AllocGate, PclDebitCreditCellStaysWithinBudget) {
   // fig_4_5-style cell: debit-credit on 10 nodes, primary copy locking,
   // random routing, NOFORCE, buffer 1000.
@@ -152,7 +178,8 @@ TEST(AllocGate, PclDebitCreditCellStaysWithinBudget) {
   cfg.warmup = 5.0;
   cfg.measure = 10.0;
   const PerCommit c = per_commit(cfg, make_debit_credit_workload(cfg));
-  EXPECT_LE(c.allocs, 30.0);
+  EXPECT_LE(c.allocs, 30.0);  // measured 10.1
+  EXPECT_LE(c.bytes, 504.0);  // measured 437.9
   EXPECT_LE(c.frames, 70.0);  // measured 61.0
   // Measured 33.6 pushes, 2.93 fast-forwards, 25.0 lane events and 3.11
   // queue entries read (36.5 pushes and 3.29 reads before).

@@ -5,6 +5,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
@@ -137,26 +138,41 @@ TEST(Trace, SaveLoadRoundTrip) {
 TEST(Trace, PackedStoreWidensInPlace) {
   // Each page (and, with one file at first, the partition) needs more bits
   // than the references before it, so every stored reference is repacked
-  // several times, up to the full 64 bits (16 + 47 + 1).
+  // several times, up to the full 64 bits (16 + 47 + 1). Every view taken
+  // on the way reads its references by position and by range-for.
   for (const int files_first : {1, Trace::kMaxFiles}) {
     SCOPED_TRACE("files first " + std::to_string(files_first));
     Trace tr;
     tr.num_types = 2;
     tr.num_files = files_first;
     std::vector<std::vector<PageRef>> added;
+    // Every transaction as viewed after each reference, with its index:
+    // a view reads the trace in place, so one taken before a later
+    // reference widened the store must still read the references it had.
+    std::vector<std::pair<std::size_t, TxnSpec>> views;
+    const auto check_view = [&](std::size_t i, const TxnSpec& t) {
+      EXPECT_EQ(t.type, static_cast<int>(i % 2));
+      ASSERT_LE(t.refs.size(), added[i].size()) << "txn " << i;
+      std::size_t k = 0;
+      for (const PageRef r : t.refs) {
+        EXPECT_EQ(r.page, added[i][k].page) << i << "/" << k;
+        EXPECT_EQ(r.write, added[i][k].write) << i << "/" << k;
+        EXPECT_EQ(t.refs[k].page, r.page) << i << "/" << k;
+        EXPECT_EQ(t.refs[k].write, r.write) << i << "/" << k;
+        ++k;
+      }
+      EXPECT_EQ(k, t.refs.size()) << "txn " << i;
+    };
     const auto check_all = [&] {
       std::size_t refs = 0;
       ASSERT_EQ(tr.size(), added.size());
       for (std::size_t i = 0; i < added.size(); ++i) {
-        const TxnSpec t = tr.txn(i);
-        EXPECT_EQ(t.type, static_cast<int>(i % 2));
-        ASSERT_EQ(t.refs.size(), added[i].size()) << "txn " << i;
-        for (std::size_t k = 0; k < t.refs.size(); ++k) {
-          EXPECT_EQ(t.refs[k].page, added[i][k].page) << i << "/" << k;
-          EXPECT_EQ(t.refs[k].write, added[i][k].write) << i << "/" << k;
-        }
+        views.emplace_back(i, tr.txn(i));
+        ASSERT_EQ(views.back().second.refs.size(), added[i].size())
+            << "txn " << i;
         refs += added[i].size();
       }
+      for (const auto& [i, t] : views) check_view(i, t);
       EXPECT_EQ(tr.references(), refs);
     };
     for (const PartitionId partition : {0, Trace::kMaxFiles - 1}) {
